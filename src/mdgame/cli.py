@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON report to this file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     _add_engine_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    # the default path-signs range reaches 16-vertex paths
+    p_verify.set_defaults(func=cmd_verify, max_component=16)
 
     return parser
 

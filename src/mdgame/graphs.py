@@ -3,9 +3,11 @@
 Graphs are immutable, with adjacency stored as one bitmask row per vertex.
 The module provides the operations the deletion games need (vertex/edge
 deletion with compaction, connected components, disjoint union) plus a
-canonical form for isomorphism keys: iterated color refinement with
-individualization backtracking, returning the lexicographically least
-upper-triangle encoding.  Canonicalization cost is exponential in the
+canonical form for isomorphism keys: equitable refinement of ordered cell
+bitmasks by integer cell splitting (McKay & Piperno 2014) with
+individualization backtracking, returning the least upper-triangle
+encoding among the leaves of that search tree, which is canonical but not
+the least over all labelings.  Canonicalization cost is exponential in the
 worst case, so it is guarded by an explicit vertex limit.
 """
 
@@ -105,8 +107,10 @@ class Graph:
 
     def delete_vertex(self, v: int) -> "Graph":
         """Remove v and its incident edges; remaining vertices are compacted."""
-        keep = [u for u in range(self.n) if u != v]
-        return self.induced(keep)
+        low = (1 << v) - 1
+        rows = [(row & low) | (row >> 1 & ~low) for row in self.adj]
+        del rows[v]
+        return _unchecked(self.n - 1, tuple(rows))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.adj[u] >> v & 1:
@@ -139,11 +143,11 @@ class Graph:
         if hit is not None:
             return hit
         out = []
-        rem = (1 << self.n) - 1
+        rem = full = (1 << self.n) - 1
         while rem:
             seed = (rem & -rem).bit_length() - 1
             mask = self._component_mask(seed) & rem
-            out.append(self.induced(list(_bits(mask))))
+            out.append(self if mask == full else self.induced(list(_bits(mask))))
             rem &= ~mask
         _component_cache[key] = out
         return out
@@ -190,8 +194,10 @@ _canon_cache: dict[tuple[int, tuple[int, ...]], bytes] = {}
 def canonical_form(g: Graph, max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> bytes:
     """Isomorphism-invariant encoding of g.
 
-    Two graphs yield equal bytes exactly when they are isomorphic.  Raises
-    TooLarge when g has more than max_vertices vertices.
+    Two graphs yield equal bytes exactly when they are isomorphic: n, then
+    the canonically ordered upper triangle as one big-endian integer (for
+    j = 1..n-1, the edges from j to 0..j-1, vertex 0 most significant).
+    Raises TooLarge when g has more than max_vertices vertices.
     """
     if g.n > max_vertices:
         raise TooLarge(
@@ -204,37 +210,58 @@ def canonical_form(g: Graph, max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> byt
     return hit
 
 
-def _refine(n: int, nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
-    while True:
-        sigs = []
-        for v in range(n):
-            around = [colors[u] for u in nbrs[v]]
-            around.sort()
-            sigs.append((colors[v], tuple(around)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(ranks) == n:
-            # discrete colorings stay discrete; no further rounds needed
-            return [ranks[s] for s in sigs]
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split ordered cell bitmasks until the partition is equitable.
+
+    Each splitter in turn (the list grows in place) splits every cell by
+    its vertices' neighbor counts in the splitter; pieces replace the cell
+    in increasing count order and become splitters, so the result is
+    label-invariant.  Sound for the search's two calls: all vertices as one
+    cell and splitter, and an equitable partition with v split off a cell
+    and {v} as splitter.
+    """
+    for s in splitters:
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (adj[low.bit_length() - 1] & s).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                if len(parts) > 1:
+                    pieces = [parts[k] for k in sorted(parts)]
+                    out += pieces
+                    splitters += pieces
+                    continue
+            out.append(cell)
+        cells = out
+        if len(cells) == len(adj):
+            break
+    return cells
 
 
 def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
     if n == 0:
         return b"\x00"
-    nbrs = [tuple(_bits(row)) for row in adj]
     best: Optional[int] = None
     best_order: list[int] = []
     autos: list[list[int]] = []
 
     def encode(order: list[int]) -> int:
+        # vertex at position i becomes bit n-1-i, so row j's bits for
+        # positions 0..j-1 are its top j bits, position 0 most significant
+        bit = [0] * n
+        for i, v in enumerate(order):
+            bit[v] = 1 << (n - 1 - i)
         code = 0
         for j in range(1, n):
-            row = adj[order[j]]
-            for i in range(j):
-                code = (code << 1) | (row >> order[i] & 1)
+            row = 0
+            for u in _bits(adj[order[j]]):
+                row |= bit[u]
+            code = (code << j) | (row >> (n - j))
         return code
 
     def orbit_of(seeds: list[int], fixing: list[list[int]]) -> set[int]:
@@ -249,18 +276,14 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
                     frontier.append(w)
         return reach
 
-    def search(colors: list[int], path: tuple[int, ...]) -> None:
+    def search(cells: list[int], path: tuple[int, ...]) -> None:
         nonlocal best, best_order
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        ordered = [cells[c] for c in sorted(cells)]
-        target = None
-        for cell in ordered:
-            if len(cell) > 1 and (target is None or len(cell) < len(target)):
-                target = cell
-        if target is None:
-            order = [cell[0] for cell in ordered]
+        at = -1
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1) and (at < 0 or cell.bit_count() < cells[at].bit_count()):
+                at = i
+        if at < 0:
+            order = [cell.bit_length() - 1 for cell in cells]
             code = encode(order)
             if best is None or code < best:
                 best = code
@@ -273,8 +296,9 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
                     sigma[best_order[pos]] = order[pos]
                 autos.append(sigma)
             return
+        target = cells[at]
         explored: list[int] = []
-        for v in target:
+        for v in _bits(target):
             if explored:
                 fixing = [a for a in autos if all(a[u] == u for u in path)]
                 if fixing and v in orbit_of(explored, fixing):
@@ -282,11 +306,12 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
                     # onto this one, so it yields the same leaf codes
                     explored.append(v)
                     continue
-            branched = [colors[u] * 2 + (0 if u == v else 1) for u in range(n)]
-            search(_refine(n, nbrs, branched), path + (v,))
+            split = cells[:at] + [1 << v, target & ~(1 << v)] + cells[at + 1:]
+            search(_refine(adj, split, [1 << v]), path + (v,))
             explored.append(v)
 
-    search(_refine(n, nbrs, [0] * n), ())
+    full = (1 << n) - 1
+    search(_refine(adj, [full], [full]), ())
     assert best is not None
     nbits = n * (n - 1) // 2
     return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")

@@ -153,7 +153,7 @@ def variant_moves(c: Graph, mover: Player, variant: Variant,
 # ----------------------------------------------------------------------
 
 _CACHE_MAGIC = b"MDGC"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 class GraphGameEngine:

@@ -156,6 +156,12 @@ class TestVerifyCommand:
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_defaults_pass(self, capsys):
+        # the default ranges reach 16-vertex paths, so the verify default
+        # component limit must cover them
+        assert main(["verify", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
 
 # ----------------------------------------------------------------------
 # exit codes

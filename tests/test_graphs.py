@@ -1,5 +1,6 @@
 """Graph primitives: construction, surgery, canonical forms, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,13 @@ class TestConstruction:
             Graph(3, (0, 0))
 
 
+def random_graph(n: int, rng: random.Random) -> Graph:
+    """Seeded random graph with a random edge density, sparse through dense."""
+    p = rng.random()
+    return Graph.from_edges(
+        n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
 class TestSurgery:
     def test_delete_vertex_compacts(self):
         # deleting the middle of P3 leaves two isolated vertices, relabeled
@@ -64,9 +72,23 @@ class TestSurgery:
         assert [c.n for c in comps] == [2, 3]
 
     def test_components_of_connected_graph(self):
-        comps = cycle(5).components()
-        assert len(comps) == 1
-        assert comps[0].edge_count == 5
+        g = cycle(5)
+        assert g.components() == [g]
+
+    def test_components_keep_original_vertex_order(self):
+        # components {0,3,5}, {1,4}, {2} interleave in the labels; each keeps
+        # its vertices in increasing order: 0,3,5 -> 0,1,2 and 1,4 -> 0,1
+        comps = Graph.from_edges(6, [(0, 5), (3, 5), (1, 4)]).components()
+        assert [c.n for c in comps] == [3, 2, 1]
+        assert [c.edges() for c in comps] == [[(0, 2), (1, 2)], [(0, 1)], []]
+
+    def test_delete_vertex_matches_induced(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            g = random_graph(rng.randrange(1, 10), rng)
+            for v in {0, g.n - 1, rng.randrange(g.n)}:
+                want = g.induced([u for u in range(g.n) if u != v])
+                assert g.delete_vertex(v) == want
 
     def test_disjoint_union_keeps_both_sides(self):
         g = cycle(3).disjoint_union(path(2))
@@ -88,6 +110,48 @@ def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def brute_force_form(g: Graph) -> tuple[int, int]:
+    """(n, least upper-triangle code over all n! labelings), in the bit order
+    canonical_form documents: rows j = 1..n-1, each over columns 0..j-1."""
+    def code(order: tuple[int, ...]) -> int:
+        c = 0
+        for j in range(1, g.n):
+            row = g.adj[order[j]]
+            for i in range(j):
+                c = c << 1 | row >> order[i] & 1
+        return c
+
+    return g.n, min(map(code, itertools.permutations(range(g.n))))
+
+
+def decode(form: bytes) -> Graph:
+    n, code = form[0], int.from_bytes(form[1:], "big")
+    bit = n * (n - 1) // 2
+    edges = []
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if code >> bit & 1:
+                edges.append((i, j))
+    return Graph.from_edges(n, edges)
+
+
+def assert_agrees_with_brute_force(graphs: list[Graph]) -> None:
+    canon_to_brute: dict[bytes, set] = {}
+    brute_to_canon: dict[tuple[int, int], set] = {}
+    for g in graphs:
+        form, brute = canonical_form(g), brute_force_form(g)
+        if form not in canon_to_brute:
+            # the form is the adjacency of a relabeling of g
+            assert brute_force_form(decode(form)) == brute
+        canon_to_brute.setdefault(form, set()).add(brute)
+        brute_to_canon.setdefault(brute, set()).add(form)
+    # equal canonical forms exactly when isomorphic, so one decode per
+    # form covers every graph that has it
+    assert all(len(s) == 1 for s in canon_to_brute.values())
+    assert all(len(s) == 1 for s in brute_to_canon.values())
 
 
 class TestCanonicalForm:
@@ -115,6 +179,26 @@ class TestCanonicalForm:
             a = Graph.from_edges(n, edges[:k])
             b = Graph.from_edges(n, edges[: k + 1])
             assert canonical_form(a) != canonical_form(b)
+
+    def test_matches_brute_force_on_every_graph_through_five(self):
+        graphs = []
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                graphs.append(Graph.from_edges(
+                    n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
+        assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024
+        assert_agrees_with_brute_force(graphs)
+
+    def test_matches_brute_force_on_random_six_and_seven(self):
+        # every second graph relabels the one before, so isomorphic pairs
+        # with different labels are always present
+        rng = random.Random(2014)
+        graphs = []
+        for _ in range(100):
+            g = random_graph(rng.choice((6, 7)), rng)
+            graphs += [g, shuffled_copy(g, rng)]
+        assert_agrees_with_brute_force(graphs)
 
     def test_too_large_guard(self):
         with pytest.raises(TooLarge):

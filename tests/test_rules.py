@@ -1,6 +1,7 @@
 """Move generation, the component-value engine, the referee, and the cache."""
 
 import random
+import struct
 
 import pytest
 
@@ -242,6 +243,22 @@ class TestCachePersistence:
         fresh = make_context()
         assert fresh.engine.load_cache(str(bad_magic)) is False
         assert fresh.engine.load_cache(str(bad_version)) is False
+
+    def test_previous_version_rejected(self, tmp_path):
+        # version 2 files hold keys from the old canonical labeling; their
+        # checksum still matches, so only the version check rejects them
+        ctx = make_context()
+        ctx.engine.game_of(path(4), Variant.CLASSIC)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
+        old = tmp_path / "v2.mdgc"
+        old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        fresh = make_context()
+        fresh.engine.game_of(cycle(4), Variant.CLASSIC)
+        before = dict(fresh.engine._values)
+        assert fresh.engine.load_cache(str(old)) is False
+        assert fresh.engine._values == before
 
     def test_missing_file(self, tmp_path):
         assert make_context().engine.load_cache(str(tmp_path / "nope")) is False
