@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .cgt import EngineError, GameId, GameStore, Comparison, Outcome
 
@@ -201,32 +201,18 @@ class AtomicCalculator:
             yg = st.number_game(y)
             return all(not st.leq(w, yg) for w in rights)
 
-        x = base
-        steps = 0
-        if x_ok(x):
-            while x_ok(x - 1):
-                x -= 1
-                steps += 1
-                if steps > _SCAN_LIMIT:
-                    raise EngineError("integer exception scan did not terminate")
-        else:
-            while not x_ok(x):
-                x += 1
-                steps += 1
-                if steps > _SCAN_LIMIT:
-                    raise EngineError("integer exception scan did not terminate")
-        y = base
-        steps = 0
-        if y_ok(y):
-            while y_ok(y + 1):
-                y += 1
-                steps += 1
-                if steps > _SCAN_LIMIT:
-                    raise EngineError("integer exception scan did not terminate")
-        else:
-            while not y_ok(y):
-                y -= 1
-                steps += 1
-                if steps > _SCAN_LIMIT:
-                    raise EngineError("integer exception scan did not terminate")
-        return x, y
+        return _walk(x_ok, base, -1), _walk(y_ok, base, 1)
+
+
+def _walk(ok: Callable[[int], bool], base: int, outward: int) -> int:
+    """The outermost integer passing ok, seen from base in direction outward:
+    walk outward while the neighbour still passes, or inward until a value
+    passes.  Raises EngineError after _SCAN_LIMIT steps."""
+    passing = ok(base)
+    step = outward if passing else -outward
+    v = base
+    for _ in range(_SCAN_LIMIT + 1):
+        if ok(v + step) != passing:
+            return v if passing else v + step
+        v += step
+    raise EngineError("integer exception scan did not terminate")

@@ -140,8 +140,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="fail once any memo table reaches this many entries")
     p.add_argument("--remote-star", type=int, default=2,
                    help="minimum nim-heap order used as the remote-star surrogate")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="thread pool width for verify (CPython threads; no speedup)")
     p.add_argument("--cache", default=None,
                    help="value-cache file, loaded before and saved after the run")
 
@@ -152,8 +150,9 @@ def _make_context(args: argparse.Namespace) -> EngineContext:
         memo_cap=args.memo_cap,
         star_floor=args.remote_star,
     )
-    if args.cache:
-        ctx.engine.load_cache(args.cache)
+    if args.cache and os.path.exists(args.cache) and not ctx.engine.load_cache(args.cache):
+        print(f"warning: value cache {args.cache} not loaded (wrong format, version "
+              "or checksum); it will be overwritten", file=sys.stderr)
     return ctx
 
 
@@ -248,7 +247,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         winners_family=FamilyKind(args.family) if args.family else None,
         winners_from=args.from_n,
         winners_to=args.to,
-        jobs=args.jobs,
     )
     if args.max_n is not None:
         config.table_aw_max_n = args.max_n
@@ -259,22 +257,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
     reports = run_all(config, ctx)
     _finish(args, ctx)
+    all_passed = all(r.passed for r in reports)
+    payload = {"all_passed": all_passed, "reports": [r.to_dict() for r in reports]}
     if args.format == "json":
-        print(json.dumps({
-            "all_passed": all(r.passed for r in reports),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for report in reports:
             print(format_report(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump({
-                "all_passed": all(r.passed for r in reports),
-                "reports": [r.to_dict() for r in reports],
-            }, fh, indent=2)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all_passed else 1
 
 
 # ----------------------------------------------------------------------

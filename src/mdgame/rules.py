@@ -58,14 +58,6 @@ _VARIANT_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class MoveList:
-    """Deduplicated legal results for one player from one position."""
-
-    mover: Player
-    results: tuple[Graph, ...]
-
-
 def canonical_key(component: Graph, variant: Variant,
                   max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> bytes:
     """Isomorphism- and variant-aware memo key for a connected component."""
@@ -76,8 +68,8 @@ def canonical_key(component: Graph, variant: Variant,
 # move generation
 # ----------------------------------------------------------------------
 
-def _left_results(c: Graph, forbid_leaf: bool) -> list[Graph]:
-    out = []
+def _left_moves(c: Graph, forbid_leaf: bool) -> Iterator[int]:
+    """Vertices Left may delete from c."""
     for v in range(c.n):
         dv = c.degree(v)
         if dv == 0:
@@ -86,66 +78,30 @@ def _left_results(c: Graph, forbid_leaf: bool) -> list[Graph]:
             continue
         if any(c.degree(u) == 1 for u in c.neighbors(v)):
             continue  # deleting v would isolate a leaf neighbor
-        out.append(c.delete_vertex(v))
-    return out
+        yield v
 
 
-def _right_results(c: Graph) -> list[Graph]:
-    out = []
+def _right_moves(c: Graph) -> Iterator[tuple[int, int]]:
+    """Edges Right may delete from c."""
     for u, v in c.edges():
         if c.degree(u) >= 2 and c.degree(v) >= 2:
-            out.append(c.delete_edge(u, v))
-    return out
+            yield u, v
 
 
-def _has_left_base(c: Graph) -> bool:
-    for v in range(c.n):
-        if c.degree(v) == 0:
-            continue
-        if any(c.degree(u) == 1 for u in c.neighbors(v)):
-            continue
-        return True
-    return False
+def variant_moves(c: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...]:
+    """One result per legal move of mover on a connected component.
 
-
-def _has_right_base(c: Graph) -> bool:
-    return any(
-        c.degree(u) >= 2 and c.degree(v) >= 2 for u, v in c.edges()
-    )
-
-
-def _dedup(results: list[Graph], max_vertices: int) -> tuple[Graph, ...]:
-    # two results are interchangeable when their component multisets match
-    seen: dict[tuple[bytes, ...], Graph] = {}
-    for g in results:
-        key = tuple(sorted(canonical_form(comp, max_vertices) for comp in g.components()))
-        seen.setdefault(key, g)
-    return tuple(seen.values())
-
-
-def base_moves(c: Graph, mover: Player,
-               max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> MoveList:
-    """Classic legal results on a connected component, deduplicated."""
+    Isomorphic results are not merged here: equal option values collapse
+    when the game is canonicalized.
+    """
+    if variant is Variant.MUTUAL_FAILURES and (
+        next(_left_moves(c, False), None) is None or next(_right_moves(c), None) is None
+    ):
+        return ()  # the component is closed unless both players can move
     if mover is Player.LEFT:
-        results = _left_results(c, forbid_leaf=False)
-    else:
-        results = _right_results(c)
-    return MoveList(mover, _dedup(results, max_vertices))
-
-
-def variant_moves(c: Graph, mover: Player, variant: Variant,
-                  max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> MoveList:
-    """Legal results for the given rule set, deduplicated."""
-    if variant is Variant.CLASSIC:
-        return base_moves(c, mover, max_vertices)
-    if variant is Variant.FORBIDDEN_LEAF:
-        if mover is Player.LEFT:
-            return MoveList(mover, _dedup(_left_results(c, forbid_leaf=True), max_vertices))
-        return base_moves(c, mover, max_vertices)
-    # mutual failures: one emptiness test on the classic base sets
-    if not _has_left_base(c) or not _has_right_base(c):
-        return MoveList(mover, ())
-    return base_moves(c, mover, max_vertices)
+        forbid_leaf = variant is Variant.FORBIDDEN_LEAF
+        return tuple(c.delete_vertex(v) for v in _left_moves(c, forbid_leaf))
+    return tuple(c.delete_edge(u, v) for u, v in _right_moves(c))
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +134,8 @@ class GraphGameEngine:
         hit = self._values.get(key)
         if hit is not None:
             return hit
-        lefts = [
-            self.game_of(r, variant)
-            for r in variant_moves(comp, Player.LEFT, variant, self.max_component).results
-        ]
-        rights = [
-            self.game_of(r, variant)
-            for r in variant_moves(comp, Player.RIGHT, variant, self.max_component).results
-        ]
+        lefts = [self.game_of(r, variant) for r in variant_moves(comp, Player.LEFT, variant)]
+        rights = [self.game_of(r, variant) for r in variant_moves(comp, Player.RIGHT, variant)]
         value = self.store.make_game(lefts, rights)
         self._values[key] = value
         return value

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .cgt import Comparison, EngineError, Outcome
 from .atomic import StarOrder
@@ -301,14 +300,11 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
         classic_bad = []
         fl_bad = []
         for g in reps[n]:
-            right_ok = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC,
-                                          max_vertices).results)
-            left_ok = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC,
-                                         max_vertices).results)
+            right_ok = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC))
+            left_ok = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC))
             if right_ok and not left_ok:
                 classic_bad.append(g)
-            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF,
-                                         max_vertices).results)
+            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF))
             if fl_left and not right_ok:
                 fl_bad.append(g)
         ok = not classic_bad and not fl_bad
@@ -342,7 +338,6 @@ class VerifyConfig:
     winners_from: Optional[int] = None
     winners_to: Optional[int] = None
     oracle_budget: OracleBudget = OracleBudget()
-    jobs: int = 1
 
 
 _DEFAULT_WINNER_RANGES: dict[FamilyKind, tuple[int, int]] = {
@@ -359,9 +354,9 @@ def run_all(config: VerifyConfig, ctx: Optional[EngineContext] = None) -> list[C
     """Run the selected suites and return their reports in a stable order."""
     if ctx is None:
         ctx = make_context()
-    tasks: list[Callable[[], CheckReport]] = []
+    reports: list[CheckReport] = []
     if "table-aw" in config.suites:
-        tasks.append(lambda: check_table_aw(ctx, config.table_aw_max_n))
+        reports.append(check_table_aw(ctx, config.table_aw_max_n))
     if "winners" in config.suites:
         for (variant, family), _claim in WINNER_CLAIMS.items():
             if config.winners_variant is not None and variant is not config.winners_variant:
@@ -373,21 +368,12 @@ def run_all(config: VerifyConfig, ctx: Optional[EngineContext] = None) -> list[C
                 lo = config.winners_from
             if config.winners_to is not None:
                 hi = config.winners_to
-            tasks.append(
-                lambda v=variant, f=family, a=lo, b=hi: check_winners(
-                    ctx, v, f, a, b, config.oracle_budget
-                )
-            )
+            reports.append(check_winners(ctx, variant, family, lo, hi, config.oracle_budget))
     if "path-signs" in config.suites:
-        tasks.append(lambda: check_path_value_signs(ctx, Variant.CLASSIC, config.signs_max_n))
-        tasks.append(lambda: check_path_value_signs(
-            ctx, Variant.FORBIDDEN_LEAF, config.signs_max_n))
+        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, config.signs_max_n))
+        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, config.signs_max_n))
     if "farstar" in config.suites:
-        tasks.append(lambda: check_farstar_paths(ctx, config.farstar_max_n))
+        reports.append(check_farstar_paths(ctx, config.farstar_max_n))
     if "bias" in config.suites:
-        tasks.append(lambda: check_bias_props(ctx, config.bias_max_vertices))
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(lambda t: t(), tasks))
-    return [t() for t in tasks]
+        reports.append(check_bias_props(ctx, config.bias_max_vertices))
+    return reports

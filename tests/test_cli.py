@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,8 +160,14 @@ class TestVerifyCommand:
     def test_defaults_pass(self, capsys):
         # the default ranges reach 16-vertex paths, so the verify default
         # component limit must cover them
+        # and the reports, minus timing, must match the committed ones
         assert main(["verify", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["all_passed"] is True
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_passed"] is True
+        for report in payload["reports"]:
+            del report["elapsed_s"]
+        golden = Path(__file__).parent / "data" / "verify_default.json"
+        assert json.dumps(payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +204,14 @@ class TestCacheFlag:
         cache = tmp_path / "values.mdgc"
         assert main(["value", "path 7", "--variant", "mf",
                      "--cache", str(cache)]) == 0
-        first = capsys.readouterr().out
+        first = capsys.readouterr()
+        assert first.err == ""  # no file yet is not a rejected cache
         assert cache.exists() and cache.stat().st_size > 0
         assert main(["value", "path 7", "--variant", "mf",
                      "--cache", str(cache)]) == 0
-        assert capsys.readouterr().out == first
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert second.err == ""
 
     def test_corrupt_cache_is_ignored(self, tmp_path, capsys):
         cache = tmp_path / "values.mdgc"
@@ -212,4 +222,7 @@ class TestCacheFlag:
         cache.write_bytes(bytes(blob))
         assert main(["value", "path 7", "--variant", "mf",
                      "--cache", str(cache)]) == 0
-        assert "value: ↑" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "value: ↑" in out
+        assert err == (f"warning: value cache {cache} not loaded (wrong format, "
+                       "version or checksum); it will be overwritten\n")

@@ -11,7 +11,6 @@ from mdgame.rules import (
     GraphGameEngine,
     Player,
     Variant,
-    base_moves,
     canonical_key,
     make_context,
     variant_moves,
@@ -27,57 +26,55 @@ ALL_VARIANTS = tuple(Variant)
 class TestBaseMoves:
     def test_p2_is_dead_for_both(self):
         g = path(2)
-        assert base_moves(g, Player.LEFT).results == ()
-        assert base_moves(g, Player.RIGHT).results == ()
+        assert variant_moves(g, Player.LEFT, Variant.CLASSIC) == ()
+        assert variant_moves(g, Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_p3_left_end_deletions_collapse(self):
-        moves = base_moves(path(3), Player.LEFT)
-        assert moves.mover is Player.LEFT
-        assert len(moves.results) == 1  # both ends give P2
-        assert moves.results[0].n == 2
+        # one result per legal move: both ends give P2
+        assert variant_moves(path(3), Player.LEFT, Variant.CLASSIC) == (path(2), path(2))
 
     def test_p3_right_cannot_strand_a_leaf(self):
-        assert base_moves(path(3), Player.RIGHT).results == ()
+        assert variant_moves(path(3), Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_k3_moves(self):
-        assert len(base_moves(complete(3), Player.LEFT).results) == 1
-        right = base_moves(complete(3), Player.RIGHT).results
-        assert len(right) == 1
-        assert right[0].edge_count == 2
+        assert variant_moves(complete(3), Player.LEFT, Variant.CLASSIC) == (complete(2),) * 3
+        right = variant_moves(complete(3), Player.RIGHT, Variant.CLASSIC)
+        assert len(right) == 3
+        assert all(r.edge_count == 2 for r in right)
 
     def test_left_never_isolates_a_neighbor(self):
         # the middle of P3 has two leaf neighbors, so it is frozen
-        results = base_moves(path(3), Player.LEFT).results
+        results = variant_moves(path(3), Player.LEFT, Variant.CLASSIC)
         assert all(r.edge_count == 0 or min(
             r.degree(v) for v in range(r.n)) >= 1 for r in results)
 
 
 class TestVariantMoves:
     def test_fl_removes_leaf_deletions(self):
-        assert variant_moves(path(4), Player.LEFT, Variant.CLASSIC).results != ()
-        assert variant_moves(path(4), Player.LEFT, Variant.FORBIDDEN_LEAF).results == ()
+        assert variant_moves(path(4), Player.LEFT, Variant.CLASSIC) != ()
+        assert variant_moves(path(4), Player.LEFT, Variant.FORBIDDEN_LEAF) == ()
 
     def test_fl_right_unchanged(self):
         classic = variant_moves(path(4), Player.RIGHT, Variant.CLASSIC)
         fl = variant_moves(path(4), Player.RIGHT, Variant.FORBIDDEN_LEAF)
-        assert classic.results == fl.results
+        assert classic == fl
 
     def test_mf_closes_component_when_right_is_out(self):
         # P3: Left could move classically, Right never could
         for mover in Player:
-            assert variant_moves(path(3), mover, Variant.MUTUAL_FAILURES).results == ()
+            assert variant_moves(path(3), mover, Variant.MUTUAL_FAILURES) == ()
 
     def test_mf_open_component_keeps_base_moves(self):
         for mover in Player:
             mf = variant_moves(path(4), mover, Variant.MUTUAL_FAILURES)
-            base = base_moves(path(4), mover)
-            assert mf.results == base.results
+            base = variant_moves(path(4), mover, Variant.CLASSIC)
+            assert mf == base
 
     def test_results_never_contain_isolated_vertices(self):
         for g in connected_graphs(6)[6]:
             for variant in ALL_VARIANTS:
                 for mover in Player:
-                    for r in variant_moves(g, mover, variant).results:
+                    for r in variant_moves(g, mover, variant):
                         assert all(r.degree(v) >= 1 for v in range(r.n))
 
 
@@ -262,3 +259,24 @@ class TestCachePersistence:
 
     def test_missing_file(self, tmp_path):
         assert make_context().engine.load_cache(str(tmp_path / "nope")) is False
+
+    def test_truncated_and_bit_flipped_files_are_rejected(self, tmp_path):
+        ctx = make_context()
+        for n in range(2, 8):
+            ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
+        ctx.engine.game_of(wheel(4), Variant.CLASSIC)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
+        damaged = [blob[:i] for i in range(len(blob))]
+        for i in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        fresh = make_context()
+        bad = tmp_path / "bad.mdgc"
+        for data in damaged:
+            bad.write_bytes(data)
+            assert fresh.engine.load_cache(str(bad)) is False
+            assert fresh.engine._values == {}

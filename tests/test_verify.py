@@ -160,15 +160,6 @@ class TestRunAll:
         b = [r.stable_dict() for r in run_all(self.CONFIG, make_context())]
         assert a == b
 
-    def test_jobs_flag_gives_same_reports(self):
-        serial = [r.stable_dict() for r in run_all(self.CONFIG, make_context())]
-        config = VerifyConfig(
-            table_aw_max_n=7, signs_max_n=7, farstar_max_n=7,
-            bias_max_vertices=5, winners_to=6, jobs=4,
-        )
-        threaded = [r.stable_dict() for r in run_all(config, make_context())]
-        assert serial == threaded
-
     def test_winner_filters(self):
         config = VerifyConfig(
             suites=("winners",),
