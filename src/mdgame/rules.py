@@ -119,6 +119,11 @@ class GraphGameEngine:
         self.store = store
         self.max_component = max_component
         self._values: dict[bytes, GameId] = {}
+        # loaded cache entries stay raw until first use: each disk game's
+        # option indices, its store handle once built, and key -> disk index
+        self._disk: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._disk_ids: list[Optional[GameId]] = []
+        self._pending: dict[bytes, int] = {}
 
     def game_of(self, g: Graph, variant: Variant) -> GameId:
         """Canonical value of a position: sum of its component values."""
@@ -134,11 +139,25 @@ class GraphGameEngine:
         hit = self._values.get(key)
         if hit is not None:
             return hit
-        lefts = [self.game_of(r, variant) for r in variant_moves(comp, Player.LEFT, variant)]
-        rights = [self.game_of(r, variant) for r in variant_moves(comp, Player.RIGHT, variant)]
-        value = self.store.make_game(lefts, rights)
-        self._values[key] = value
+        loaded = self._pending.get(key)
+        if loaded is not None:
+            value = self._materialize(loaded)
+        else:
+            lefts = [self.game_of(r, variant) for r in variant_moves(comp, Player.LEFT, variant)]
+            rights = [self.game_of(r, variant) for r in variant_moves(comp, Player.RIGHT, variant)]
+            value = self.store.make_game(lefts, rights)
+        self.store._memo_put(self._values, key, value)
+        self._pending.pop(key, None)
         return value
+
+    def _materialize(self, i: int) -> GameId:
+        """Build loaded game i in the store, options first."""
+        ids = self._disk_ids
+        if ids[i] is None:
+            lo, ro = self._disk[i]
+            ids[i] = self.store.make_game([self._materialize(j) for j in lo],
+                                          [self._materialize(j) for j in ro])
+        return ids[i]
 
     def outcome_of(self, g: Graph, variant: Variant) -> Outcome:
         return self.store.outcome(self.game_of(g, variant))
@@ -148,33 +167,53 @@ class GraphGameEngine:
     # ------------------------------------------------------------------
 
     def save_cache(self, path: str) -> None:
-        """Serialize the ComponentKey -> value memo plus the games it needs."""
-        store = self.store
+        """Serialize the ComponentKey -> value memo plus the games it needs.
+
+        Loaded entries never used are carried over raw: their games follow
+        the store's, in file order, and an option already built points at
+        its store game.  An engine that has only loaded one file saves the
+        same bytes again.
+        """
+        store, disk, ids = self.store, self._disk, self._disk_ids
+        roots = list(self._values.values())
+        raw: set[int] = set()
+        stack = list(self._pending.values())
+        while stack:
+            i = stack.pop()
+            if ids[i] is not None:
+                roots.append(ids[i])
+            elif i not in raw:
+                raw.add(i)
+                stack.extend(disk[i][0] + disk[i][1])
         needed: set[GameId] = set()
-
-        def walk(g: GameId) -> None:
-            if g in needed:
-                return
-            needed.add(g)
-            for o in store.left_options(g) + store.right_options(g):
-                walk(o)
-
-        for v in self._values.values():
-            walk(v)
+        while roots:
+            g = roots.pop()
+            if g not in needed:
+                needed.add(g)
+                roots.extend(store.left_options(g) + store.right_options(g))
         order = sorted(needed)  # options precede their parents
         index = {g: i for i, g in enumerate(order)}
+        raw_order = sorted(raw)  # file order, so options precede parents here too
+        raw_index = {i: len(order) + r for r, i in enumerate(raw_order)}
 
-        payload = bytearray()
-        payload += struct.pack("<I", len(order))
+        def ref(i: int) -> int:
+            return raw_index[i] if ids[i] is None else index[ids[i]]
+
+        payload = bytearray(struct.pack("<I", len(order) + len(raw_order)))
+
+        def put(lo: list[int], ro: list[int]) -> None:
+            payload.extend(struct.pack(f"<HH{len(lo) + len(ro)}I", len(lo), len(ro), *lo, *ro))
+
         for g in order:
-            lo = store.left_options(g)
-            ro = store.right_options(g)
-            payload += struct.pack("<HH", len(lo), len(ro))
-            for o in lo + ro:
-                payload += struct.pack("<I", index[o])
-        payload += struct.pack("<I", len(self._values))
-        for key, v in sorted(self._values.items()):
-            payload += struct.pack("<H", len(key)) + key + struct.pack("<I", index[v])
+            put([index[o] for o in store.left_options(g)],
+                [index[o] for o in store.right_options(g)])
+        for i in raw_order:
+            put([ref(j) for j in disk[i][0]], [ref(j) for j in disk[i][1]])
+        entries = {key: index[v] for key, v in self._values.items()}
+        entries.update((key, ref(i)) for key, i in self._pending.items())
+        payload += struct.pack("<I", len(entries))
+        for key, i in sorted(entries.items()):
+            payload += struct.pack("<H", len(key)) + key + struct.pack("<I", i)
 
         blob = _CACHE_MAGIC + struct.pack("<I", _CACHE_VERSION) + bytes(payload)
         blob += struct.pack("<I", zlib.crc32(bytes(payload)))
@@ -185,7 +224,7 @@ class GraphGameEngine:
 
     def load_cache(self, path: str) -> bool:
         """Merge a cache file; returns False (leaving state intact) on any
-        version or structural mismatch."""
+        version or structural mismatch.  Entries are not built until used."""
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -204,11 +243,11 @@ class GraphGameEngine:
             pos = 0
             (ngames,) = struct.unpack_from("<I", payload, pos)
             pos += 4
-            games: list[tuple[list[int], list[int]]] = []
+            games: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
             for _ in range(ngames):
                 nl, nr = struct.unpack_from("<HH", payload, pos)
                 pos += 4
-                opts = list(struct.unpack_from(f"<{nl + nr}I", payload, pos))
+                opts = struct.unpack_from(f"<{nl + nr}I", payload, pos)
                 pos += 4 * (nl + nr)
                 if any(i >= len(games) for i in opts):
                     return False  # options must precede parents
@@ -230,12 +269,17 @@ class GraphGameEngine:
                 return False
         except (struct.error, IndexError):
             return False
-        # re-canonicalize on load: idempotent for well-formed files
-        ids: list[GameId] = []
-        for lo, ro in games:
-            ids.append(self.store.make_game([ids[i] for i in lo], [ids[i] for i in ro]))
+        # games are canonicalized into the store on first use; the first
+        # file to supply a key wins, and a key already valued is kept
+        base = len(self._disk)
+        if base:  # a later file's games follow the earlier ones
+            games = [(tuple(base + i for i in lo), tuple(base + i for i in ro))
+                     for lo, ro in games]
+        self._disk += games
+        self._disk_ids += [None] * ngames
         for key, idx in entries:
-            self._values.setdefault(key, ids[idx])
+            if key not in self._values:
+                self._pending.setdefault(key, base + idx)
         return True
 
 

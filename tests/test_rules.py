@@ -1,11 +1,13 @@
 """Move generation, the component-value engine, the referee, and the cache."""
 
+import itertools
 import random
 import struct
+import zlib
 
 import pytest
 
-from mdgame import Graph, Outcome, connected_graphs
+from mdgame import Graph, MemoCapExceeded, Outcome, connected_graphs
 from mdgame.families import complete, cycle, path, star, wheel
 from mdgame.rules import (
     GraphGameEngine,
@@ -17,6 +19,36 @@ from mdgame.rules import (
 )
 
 ALL_VARIANTS = tuple(Variant)
+
+
+def transplant(src, dst, g, memo: dict):
+    """Rebuild game g of store src in store dst through make_game.
+
+    Canonical forms are unique, so the result equals a value computed in
+    dst exactly when the two values are equal, whatever order the stores
+    built their games in.
+    """
+    hit = memo.get(g)
+    if hit is None:
+        hit = memo[g] = dst.make_game(
+            [transplant(src, dst, o, memo) for o in src.left_options(g)],
+            [transplant(src, dst, o, memo) for o in src.right_options(g)])
+    return hit
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
+    """Seeded random connected graph: a random spanning tree plus up to three
+    more edges (denser graphs on 8 vertices take seconds to value cold)."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    others = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    edges.update(rng.sample(others, rng.randint(0, 3)))
+    return relabeled(Graph.from_edges(n, edges), rng)
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +224,29 @@ class TestOracleAgreement:
                 assert ctx.engine.outcome_of(g, variant) is ctx.oracle.outcome(g, variant)
 
 
+class TestRelabelingInvariance:
+    def test_values_survive_random_relabeling(self):
+        rng = random.Random(2021)
+        for _ in range(20):
+            g = random_connected_graph(rng.randint(5, 8), rng)
+            h = relabeled(g, rng)
+            for variant in ALL_VARIANTS:
+                a, b = make_context(), make_context()
+                va = a.engine.game_of(g, variant)
+                vb = b.engine.game_of(h, variant)
+                assert transplant(a.store, b.store, va, {}) == vb
+                assert a.store.outcome(va) is a.oracle.outcome(h, variant)
+
+
 # ----------------------------------------------------------------------
 # cache persistence
 # ----------------------------------------------------------------------
+
+def engine_state(engine) -> tuple:
+    """Everything a cache load may change."""
+    return (dict(engine._values), dict(engine._pending),
+            list(engine._disk), list(engine._disk_ids))
+
 
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
@@ -207,7 +259,12 @@ class TestCachePersistence:
 
         fresh = make_context()
         assert fresh.engine.load_cache(str(cache)) is True
-        assert len(fresh.engine._values) == len(ctx.engine._values)
+        known = set(fresh.engine._values) | set(fresh.engine._pending)
+        assert known == set(ctx.engine._values)
+        # entries are built on first use; until then a save rewrites the file
+        again = tmp_path / "again.mdgc"
+        fresh.engine.save_cache(str(again))
+        assert again.read_bytes() == cache.read_bytes()
         # the merged values must render identically on a fresh store
         for n in range(2, 8):
             a = ctx.store.render(ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES))
@@ -225,6 +282,7 @@ class TestCachePersistence:
         fresh = make_context()
         assert fresh.engine.load_cache(str(cache)) is False
         assert fresh.engine._values == {}
+        assert fresh.engine._pending == {} and fresh.engine._disk == []
 
     def test_wrong_magic_and_version_rejected(self, tmp_path):
         ctx = make_context()
@@ -253,9 +311,17 @@ class TestCachePersistence:
         old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
         fresh = make_context()
         fresh.engine.game_of(cycle(4), Variant.CLASSIC)
+        other = make_context()
+        other.engine.game_of(path(5), Variant.MUTUAL_FAILURES)
+        current = tmp_path / "current.mdgc"
+        other.engine.save_cache(str(current))
+        assert fresh.engine.load_cache(str(current)) is True
+        assert fresh.engine._pending and fresh.engine._disk
         before = dict(fresh.engine._values)
+        state = engine_state(fresh.engine)
         assert fresh.engine.load_cache(str(old)) is False
         assert fresh.engine._values == before
+        assert engine_state(fresh.engine) == state
 
     def test_missing_file(self, tmp_path):
         assert make_context().engine.load_cache(str(tmp_path / "nope")) is False
@@ -280,3 +346,150 @@ class TestCachePersistence:
             bad.write_bytes(data)
             assert fresh.engine.load_cache(str(bad)) is False
             assert fresh.engine._values == {}
+            assert fresh.engine._pending == {} and fresh.engine._disk == fresh.engine._disk_ids == []
+
+    def test_malformed_files_with_a_valid_checksum_are_rejected(self, tmp_path):
+        ctx = make_context()
+        for n in range(2, 7):
+            ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
+        payload = blob[8:-4]
+        (ngames,) = struct.unpack_from("<I", payload, 0)
+        pos, self_ref = 4, None
+        for g in range(ngames):  # find a game with an option; point it at itself
+            nl, nr = struct.unpack_from("<HH", payload, pos)
+            if self_ref is None and nl + nr:
+                self_ref = payload[:pos + 4] + struct.pack("<I", g) + payload[pos + 8:]
+            pos += 4 + 4 * (nl + nr)
+        bad_payloads = [
+            payload + b"\0",  # trailing bytes
+            payload[:-1],  # short last entry
+            self_ref,  # an option that does not precede its game
+            payload[:-4] + struct.pack("<I", ngames),  # an entry past the games
+            struct.pack("<I", ngames + 1) + payload[4:],  # more games than stored
+        ]
+        fresh = make_context()
+        other = make_context()
+        other.engine.game_of(cycle(5), Variant.CLASSIC)
+        good = tmp_path / "good.mdgc"
+        other.engine.save_cache(str(good))
+        assert fresh.engine.load_cache(str(good)) is True
+        state = engine_state(fresh.engine)
+        bad = tmp_path / "bad.mdgc"
+        for body in bad_payloads:
+            bad.write_bytes(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
+            assert fresh.engine.load_cache(str(bad)) is False
+            assert engine_state(fresh.engine) == state
+
+    def test_loaded_games_enter_the_store_canonical(self, tmp_path):
+        # a file may hold a value in a non-canonical form: {-1, 0 |} = 1;
+        # its option -1 is also the value of fl path 4
+        key = canonical_key(path(3), Variant.CLASSIC)
+        forger = make_context()
+        st = forger.store
+        minus_one = st.number_game(-1)
+        forger.engine._values[key] = st._intern(tuple(sorted((minus_one, st.zero))), ())
+        forger.engine._values[canonical_key(path(4), Variant.FORBIDDEN_LEAF)] = minus_one
+        cache = tmp_path / "values.mdgc"
+        forger.engine.save_cache(str(cache))
+        fresh = make_context()
+        assert fresh.engine.load_cache(str(cache)) is True
+        assert len(fresh.engine._disk[fresh.engine._pending[key]][0]) == 2
+        assert fresh.engine.game_of(path(3), Variant.CLASSIC) == fresh.store.number_game(1)
+        # -1 is built now but unreachable from the memo; a save must keep it
+        resaved = tmp_path / "resaved.mdgc"
+        fresh.engine.save_cache(str(resaved))
+        last = make_context()
+        assert last.engine.load_cache(str(resaved)) is True
+        assert last.engine.game_of(path(4), Variant.FORBIDDEN_LEAF) == last.store.number_game(-1)
+        assert last.engine.game_of(path(3), Variant.CLASSIC) == last.store.number_game(1)
+
+    def test_partly_used_cache_keeps_every_entry(self, tmp_path):
+        # every component of a path or cycle position is a path or a cycle,
+        # so these graphs stand for every key the cache holds
+        ctx = make_context()
+        graphs = {}
+        for variant in ALL_VARIANTS:
+            for g in [path(n) for n in range(2, 9)] + [cycle(n) for n in range(3, 7)]:
+                ctx.engine.game_of(g, variant)
+                graphs[canonical_key(g, variant)] = (g, variant)
+        keys = set(ctx.engine._values)
+        assert keys <= set(graphs)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+
+        used = make_context()
+        assert used.engine.load_cache(str(cache)) is True
+        used.engine.game_of(path(6), Variant.MUTUAL_FAILURES)
+        used.engine.game_of(cycle(5), Variant.CLASSIC)
+        used.engine.game_of(path(4), Variant.FORBIDDEN_LEAF)
+        assert len(used.engine._values) == 3 and len(used.engine._pending) == len(keys) - 3
+        resaved = tmp_path / "resaved.mdgc"
+        used.engine.save_cache(str(resaved))
+
+        last = make_context()
+        assert last.engine.load_cache(str(resaved)) is True
+        assert set(last.engine._values) | set(last.engine._pending) == keys
+        scratch = make_context()  # values from the rules alone
+        for key in sorted(keys):
+            g, variant = graphs[key]
+            got = transplant(last.store, scratch.store, last.engine.game_of(g, variant), {})
+            assert got == scratch.engine.game_of(g, variant)
+        assert last.engine._pending == {}
+
+    def test_first_loaded_file_wins_and_computed_keys_stay(self, tmp_path):
+        mf = Variant.MUTUAL_FAILURES
+        key = canonical_key(path(6), mf)
+        honest = make_context()
+        for n in range(2, 7):
+            honest.engine.game_of(path(n), mf)
+        truth = tmp_path / "truth.mdgc"
+        honest.engine.save_cache(str(truth))
+        # a file that overlaps the first and gives path 6 the value 1, which
+        # no mf position has (mf values are all small)
+        liar = make_context()
+        for n in range(5, 9):
+            liar.engine.game_of(path(n), mf)
+        one = liar.store.make_game([liar.store.zero], [])
+        liar.engine._values[key] = one
+        lie = tmp_path / "lie.mdgc"
+        liar.engine.save_cache(str(lie))
+
+        def value_after(files, computed_first=False):
+            ctx = make_context()
+            if computed_first:
+                ctx.engine.game_of(path(6), mf)
+            for f in files:
+                assert ctx.engine.load_cache(str(f)) is True
+            assert (key in ctx.engine._pending) is not computed_first
+            return ctx, ctx.engine.game_of(path(6), mf)
+
+        true_value = honest.engine.game_of(path(6), mf)
+        ctx, got = value_after([truth, lie])
+        assert got == transplant(honest.store, ctx.store, true_value, {})
+        assert canonical_key(path(8), mf) in ctx.engine._pending  # the second file's new keys
+        ctx, got = value_after([lie, truth])
+        assert got == transplant(liar.store, ctx.store, one, {})
+        ctx, got = value_after([lie], computed_first=True)
+        assert got == transplant(honest.store, ctx.store, true_value, {})
+
+    def test_memo_cap_bounds_served_cache_entries(self, tmp_path):
+        # many keys share few values, so serving cached keys grows the
+        # component memo faster than any store table
+        graphs = [g for n, gs in connected_graphs(6).items() if n > 1 for g in gs]
+        ctx = make_context()
+        for g in graphs:
+            ctx.engine.game_of(g, Variant.MUTUAL_FAILURES)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        cap = 20
+        capped = make_context(memo_cap=cap)
+        assert capped.engine.load_cache(str(cache)) is True
+        with pytest.raises(MemoCapExceeded):
+            for g in graphs:
+                capped.engine.game_of(g, Variant.MUTUAL_FAILURES)
+        assert len(capped.engine._values) <= cap
+        tables = [t for t in vars(capped.store).values() if isinstance(t, dict)]
+        assert tables and all(len(t) <= cap for t in tables)
