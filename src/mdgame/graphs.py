@@ -7,8 +7,10 @@ canonical form for isomorphism keys: equitable refinement of ordered cell
 bitmasks by integer cell splitting (McKay & Piperno 2014) with
 individualization backtracking, returning the least upper-triangle
 encoding among the leaves of that search tree, which is canonical but not
-the least over all labelings.  Canonicalization cost is exponential in the
-worst case, so it is guarded by an explicit vertex limit.
+the least over all labelings; the labeling keeps the automorphisms it
+finds (two leaves with equal encodings), for move generation to make one
+move per orbit.  Canonicalization cost is exponential in the worst case,
+so it is guarded by an explicit vertex limit, and by 255 vertices.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ _component_cache: dict[tuple[int, tuple[int, ...]], list[Graph]] = {}
 # canonical form
 # ----------------------------------------------------------------------
 
-_canon_cache: dict[tuple[int, tuple[int, ...]], bytes] = {}
+_BYTE_LIMIT = 255  # n and each vertex of an automorphism take one byte
+# (n, adj) -> (canonical bytes, automorphisms found while labeling)
+_canon_cache: dict[tuple[int, tuple[int, ...]], tuple[bytes, tuple[bytes, ...]]] = {}
 
 
 def canonical_form(g: Graph, max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> bytes:
@@ -197,11 +201,23 @@ def canonical_form(g: Graph, max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> byt
     Two graphs yield equal bytes exactly when they are isomorphic: n, then
     the canonically ordered upper triangle as one big-endian integer (for
     j = 1..n-1, the edges from j to 0..j-1, vertex 0 most significant).
-    Raises TooLarge when g has more than max_vertices vertices.
+    Raises TooLarge when g has more than max_vertices vertices, or more
+    than 255 whatever max_vertices is.
     """
-    if g.n > max_vertices:
+    return _labeling(g, min(max_vertices, _BYTE_LIMIT))[0]
+
+
+def automorphisms(g: Graph) -> tuple[bytes, ...]:
+    """Automorphisms of g that its canonical labeling found; map a sends v
+    to a[v].  They generate a subgroup of Aut(g), whose orbits may split
+    true orbits but never join two.  Raises TooLarge above 255 vertices."""
+    return _labeling(g, _BYTE_LIMIT)[1]
+
+
+def _labeling(g: Graph, limit: int) -> tuple[bytes, tuple[bytes, ...]]:
+    if g.n > limit:
         raise TooLarge(
-            f"graph has {g.n} vertices, above the canonicalization limit {max_vertices}"
+            f"graph has {g.n} vertices, above the canonicalization limit {limit}"
         )
     key = (g.n, g.adj)
     hit = _canon_cache.get(key)
@@ -216,14 +232,21 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     Each splitter in turn (the list grows in place) splits every cell by
     its vertices' neighbor counts in the splitter; pieces replace the cell
     in increasing count order and become splitters, so the result is
-    label-invariant.  Sound for the search's two calls: all vertices as one
-    cell and splitter, and an equitable partition with v split off a cell
-    and {v} as splitter.
+    label-invariant.  A one-vertex splitter's counts are 0 or 1, so it
+    splits each cell by that vertex's row alone.  Sound for the search's
+    two calls: all vertices as one cell and splitter, and an equitable
+    partition with v split off a cell and {v} as splitter.
     """
     for s in splitters:
+        row = None if s & (s - 1) else adj[s.bit_length() - 1]
         out = []
         for cell in cells:
-            if cell & (cell - 1):
+            pieces = None
+            if row is not None:
+                hit = cell & row
+                if hit and hit != cell:
+                    pieces = [cell ^ hit, hit]
+            elif cell & (cell - 1):
                 parts: dict[int, int] = {}
                 rest = cell
                 while rest:
@@ -233,22 +256,24 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                     parts[k] = parts.get(k, 0) | low
                 if len(parts) > 1:
                     pieces = [parts[k] for k in sorted(parts)]
-                    out += pieces
-                    splitters += pieces
-                    continue
-            out.append(cell)
+            if pieces:
+                out += pieces
+                splitters += pieces
+            else:
+                out.append(cell)
         cells = out
         if len(cells) == len(adj):
             break
     return cells
 
 
-def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
+def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, ...]]:
+    """Canonical bytes of (n, adj) and the automorphisms the search found."""
     if n == 0:
-        return b"\x00"
+        return b"\x00", ()
     best: Optional[int] = None
     best_order: list[int] = []
-    autos: list[list[int]] = []
+    autos: list[bytes] = []
 
     def encode(order: list[int]) -> int:
         # vertex at position i becomes bit n-1-i, so row j's bits for
@@ -259,12 +284,15 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
         code = 0
         for j in range(1, n):
             row = 0
-            for u in _bits(adj[order[j]]):
-                row |= bit[u]
+            rest = adj[order[j]]
+            while rest:
+                low = rest & -rest
+                row |= bit[low.bit_length() - 1]
+                rest ^= low
             code = (code << j) | (row >> (n - j))
         return code
 
-    def orbit_of(seeds: list[int], fixing: list[list[int]]) -> set[int]:
+    def orbit_of(seeds: list[int], fixing: list[bytes]) -> set[int]:
         reach = set(seeds)
         frontier = list(seeds)
         while frontier:
@@ -291,16 +319,20 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
             elif code == best:
                 # two orderings with the same matrix encoding: the position-wise
                 # vertex map between them is an automorphism worth remembering
-                sigma = [0] * n
+                sigma = bytearray(n)
                 for pos in range(n):
                     sigma[best_order[pos]] = order[pos]
-                autos.append(sigma)
+                autos.append(bytes(sigma))
             return
         target = cells[at]
         explored: list[int] = []
+        fixing: list[bytes] = []
+        known = 0
         for v in _bits(target):
             if explored:
-                fixing = [a for a in autos if all(a[u] == u for u in path)]
+                if known != len(autos):
+                    known = len(autos)
+                    fixing = [a for a in autos if all(a[u] == u for u in path)]
                 if fixing and v in orbit_of(explored, fixing):
                     # an automorphism fixing the path maps an explored branch
                     # onto this one, so it yields the same leaf codes
@@ -314,7 +346,7 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> bytes:
     search(_refine(adj, [full], [full]), ())
     assert best is not None
     nbits = n * (n - 1) // 2
-    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big")
+    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big"), tuple(autos)
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,17 @@ rule sets are supported:
 
 Values are computed per connected component, keyed by an
 isomorphism-invariant ComponentKey (variant tag + canonical form), and
-combined by disjunctive sum.  A separate brute-force referee (Oracle)
-replays whole labeled graphs by alternating minimax without touching game
-values or canonical forms; it exists to cross-check the engine.
+combined by disjunctive sum.  Moves in one automorphism orbit give
+isomorphic results, so a component's options come from one legal move per
+orbit under the automorphisms its canonical labeling found.  A separate
+brute-force referee (Oracle) replays whole labeled graphs by alternating
+minimax without touching game values or canonical forms; it exists to
+cross-check the engine.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import zlib
@@ -32,6 +36,7 @@ from .atomic import AtomicCalculator
 from .graphs import (
     DEFAULT_COMPONENT_LIMIT,
     Graph,
+    automorphisms,
     canonical_form,
 )
 
@@ -68,40 +73,70 @@ def canonical_key(component: Graph, variant: Variant,
 # move generation
 # ----------------------------------------------------------------------
 
-def _left_moves(c: Graph, forbid_leaf: bool) -> Iterator[int]:
-    """Vertices Left may delete from c."""
-    for v in range(c.n):
-        dv = c.degree(v)
-        if dv == 0:
-            continue  # isolated vertices are dead stones
-        if forbid_leaf and dv == 1:
-            continue
-        if any(c.degree(u) == 1 for u in c.neighbors(v)):
-            continue  # deleting v would isolate a leaf neighbor
-        yield v
+def _left_moves(c: Graph, leaves: int, forbid_leaf: bool) -> Iterator[int]:
+    """Vertices Left may delete from c, whose degree-1 vertices are leaves."""
+    banned = leaves if forbid_leaf else 0
+    for v, row in enumerate(c.adj):
+        # an isolated vertex is a dead stone; deleting a leaf's neighbor isolates it
+        if row and not row & leaves and not banned >> v & 1:
+            yield v
 
 
-def _right_moves(c: Graph) -> Iterator[tuple[int, int]]:
-    """Edges Right may delete from c."""
-    for u, v in c.edges():
-        if c.degree(u) >= 2 and c.degree(v) >= 2:
-            yield u, v
+def _right_moves(c: Graph, leaves: int) -> Iterator[tuple[int, int]]:
+    """Edges Right may delete from c: those with no leaf end."""
+    for v, row in enumerate(c.adj):
+        if not leaves >> v & 1:
+            for u in _mask_bits(row >> (v + 1) << (v + 1) & ~leaves):
+                yield v, u
+
+
+def _edge_image(a: bytes, e: tuple[int, int]) -> tuple[int, int]:
+    u, v = a[e[0]], a[e[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _orbit_firsts(moves: list, autos: tuple[bytes, ...], image) -> list:
+    """The first of moves in each orbit under autos, image(a, m) being m's
+    image under map a; moves must be closed under autos."""
+    seen: set = set()
+    firsts = []
+    for m in moves:
+        if m not in seen:
+            firsts.append(m)
+            seen.add(m)
+            orbit = [m]
+            for x in orbit:
+                for a in autos:
+                    y = image(a, x)
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+    return firsts
 
 
 def variant_moves(c: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...]:
-    """One result per legal move of mover on a connected component.
+    """One result per orbit of mover's legal moves on a connected component.
 
-    Isomorphic results are not merged here: equal option values collapse
-    when the game is canonicalized.
+    Orbits are of vertices for Left and of edges for Right, under the
+    automorphisms c's canonical labeling found (labeling c if needed, so
+    above 255 vertices this raises TooLarge).  Isomorphic results of
+    different orbits are not merged: equal options collapse in make_game.
     """
+    leaves = sum(1 << v for v, row in enumerate(c.adj) if row and not row & (row - 1))
     if variant is Variant.MUTUAL_FAILURES and (
-        next(_left_moves(c, False), None) is None or next(_right_moves(c), None) is None
+        next(_left_moves(c, leaves, False), None) is None
+        or next(_right_moves(c, leaves), None) is None
     ):
         return ()  # the component is closed unless both players can move
     if mover is Player.LEFT:
-        forbid_leaf = variant is Variant.FORBIDDEN_LEAF
-        return tuple(c.delete_vertex(v) for v in _left_moves(c, forbid_leaf))
-    return tuple(c.delete_edge(u, v) for u, v in _right_moves(c))
+        vertices = list(_left_moves(c, leaves, variant is Variant.FORBIDDEN_LEAF))
+        if len(vertices) > 1:
+            vertices = _orbit_firsts(vertices, automorphisms(c), operator.getitem)
+        return tuple(c.delete_vertex(v) for v in vertices)
+    edges = list(_right_moves(c, leaves))
+    if len(edges) > 1:
+        edges = _orbit_firsts(edges, automorphisms(c), _edge_image)
+    return tuple(c.delete_edge(u, v) for u, v in edges)
 
 
 # ----------------------------------------------------------------------

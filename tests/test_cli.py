@@ -187,6 +187,11 @@ class TestExitCodes:
     def test_component_limit(self, capsys):
         assert main(["value", "path 20", "--max-component", "5"]) == 3
 
+    def test_more_than_255_vertices(self, capsys):
+        # the canonical form stores n in one byte, whatever --max-component is
+        assert main(["value", "path 256", "--max-component", "400"]) == 3
+        assert "above the canonicalization limit 255" in capsys.readouterr().err
+
     def test_memo_cap(self, capsys):
         assert main(["value", "path 12", "--memo-cap", "4"]) == 3
 

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from mdgame import Graph, TooLarge, canonical_form, connected_graphs
-from mdgame.families import complete, cycle, path, star
+from mdgame.families import biclique, complete, cycle, path, star, wheel
+from mdgame.graphs import automorphisms
+from mdgame.rules import _CACHE_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +206,92 @@ class TestCanonicalForm:
         with pytest.raises(TooLarge):
             canonical_form(path(13), max_vertices=12)
 
+    def test_too_large_above_255_whatever_the_limit(self):
+        # n and automorphism vertex numbers are stored one byte each
+        assert canonical_form(path(255), max_vertices=400)[0] == 255
+        with pytest.raises(TooLarge):
+            canonical_form(path(256), max_vertices=400)
+        with pytest.raises(TooLarge):
+            automorphisms(path(256))
+
     def test_zero_vertices(self):
         assert canonical_form(Graph.empty(0)) == b"\x00"
+
+
+def every_graph_through_five() -> list[Graph]:
+    """All 1,100 labeled graphs on 0..5 vertices."""
+    graphs = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(
+                n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
+    return graphs
+
+
+def random_six_and_seven(seed: int) -> list[Graph]:
+    """100 seeded random graphs on 6 or 7 vertices, each followed by a relabeling."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(100):
+        g = random_graph(rng.choice((6, 7)), rng)
+        graphs += [g, shuffled_copy(g, rng)]
+    return graphs
+
+
+class TestAutomorphisms:
+    def assert_valid(self, graphs: list[Graph]) -> int:
+        found = 0
+        for g in graphs:
+            edges = {frozenset(e) for e in g.edges()}
+            for a in automorphisms(g):
+                assert isinstance(a, bytes) and sorted(a) == list(range(g.n))
+                assert {frozenset((a[u], a[v])) for u, v in edges} == edges
+                found += 1
+        return found
+
+    def test_every_graph_through_five(self):
+        graphs = every_graph_through_five()
+        assert len(graphs) == 1100
+        assert self.assert_valid(graphs) > 0
+
+    def test_random_six_and_seven(self):
+        assert self.assert_valid(random_six_and_seven(2014)) > 0
+
+
+# canonical_form bytes of a dozen graphs, recorded before the refinement
+# fast paths; bytes that move need a new _CACHE_VERSION in rules.py
+PINNED_FORMS = [
+    (Graph.empty(0), "00"),
+    (path(1), "01"),
+    (path(5), "05003a"),
+    (cycle(6), "060758"),
+    (complete(5), "0503ff"),
+    (star(4), "05000f"),
+    (biclique(3, 4), "07007fbc"),
+    (wheel(7), "080056987f"),
+    (path(12), "0c00000021450a0a0500"),
+    (wheel(11), "0c000008a514281807ff"),
+    (complete(3).disjoint_union(cycle(4)), "07009e30"),
+    (Graph.from_edges(6, [(0, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)]), "060475"),
+    (Graph.from_edges(8, [(0, 1), (0, 4), (1, 6), (3, 7), (5, 6), (5, 7)]), "0800006528"),
+    (Graph.from_edges(10, [
+        (0, 2), (0, 8), (1, 5), (1, 7), (1, 8), (2, 3), (2, 5), (2, 7), (2, 8), (3, 5),
+        (3, 6), (3, 8), (4, 5), (4, 8), (5, 9), (6, 7), (6, 9), (7, 8), (8, 9)]),
+     "0a00084a476bee"),
+    (Graph.from_edges(12, [
+        (0, 6), (0, 8), (0, 10), (1, 3), (1, 5), (1, 6), (1, 7), (1, 8), (2, 4), (2, 6),
+        (2, 10), (2, 11), (3, 7), (3, 8), (3, 10), (4, 5), (4, 7), (5, 6), (5, 7), (5, 11),
+        (6, 7), (6, 8), (6, 9), (6, 10), (7, 8), (7, 11), (9, 10), (9, 11)]),
+     "0c00024884e4b606f65f"),
+]
+
+
+class TestPinnedForms:
+    def test_bytes_are_unchanged(self):
+        assert [canonical_form(g).hex() for g, _ in PINNED_FORMS] == [
+            form for _, form in PINNED_FORMS]
+        assert _CACHE_VERSION == 3
 
 
 class TestEnumeration:

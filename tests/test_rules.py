@@ -7,8 +7,8 @@ import zlib
 
 import pytest
 
-from mdgame import Graph, MemoCapExceeded, Outcome, connected_graphs
-from mdgame.families import complete, cycle, path, star, wheel
+from mdgame import Graph, MemoCapExceeded, Outcome, canonical_form, connected_graphs
+from mdgame.families import biclique, complete, cycle, path, star, wheel
 from mdgame.rules import (
     GraphGameEngine,
     Player,
@@ -62,17 +62,18 @@ class TestBaseMoves:
         assert variant_moves(g, Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_p3_left_end_deletions_collapse(self):
-        # one result per legal move: both ends give P2
-        assert variant_moves(path(3), Player.LEFT, Variant.CLASSIC) == (path(2), path(2))
+        # one result per orbit of legal moves: the two ends are one orbit
+        assert variant_moves(path(3), Player.LEFT, Variant.CLASSIC) == (path(2),)
 
     def test_p3_right_cannot_strand_a_leaf(self):
         assert variant_moves(path(3), Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_k3_moves(self):
-        assert variant_moves(complete(3), Player.LEFT, Variant.CLASSIC) == (complete(2),) * 3
+        # every vertex and every edge of K3 lies in one orbit
+        assert variant_moves(complete(3), Player.LEFT, Variant.CLASSIC) == (complete(2),)
         right = variant_moves(complete(3), Player.RIGHT, Variant.CLASSIC)
-        assert len(right) == 3
-        assert all(r.edge_count == 2 for r in right)
+        assert len(right) == 1
+        assert right[0].edge_count == 2
 
     def test_left_never_isolates_a_neighbor(self):
         # the middle of P3 has two leaf neighbors, so it is frozen
@@ -108,6 +109,79 @@ class TestVariantMoves:
                 for mover in Player:
                     for r in variant_moves(g, mover, variant):
                         assert all(r.degree(v) >= 1 for v in range(r.n))
+
+
+def legal_moves(g: Graph, mover: Player, variant: Variant) -> list:
+    """Every legal move of mover on connected g, vertices for Left and edges
+    for Right, from the rules as stated: a deletion may not leave a vertex
+    isolated, isolated vertices cannot be deleted, fl forbids Left to delete
+    a leaf, and mf closes g unless both players have a classic move."""
+    def no_isolated(h: Graph) -> bool:
+        return all(h.degree(v) > 0 for v in range(h.n))
+
+    def classic(who: Player) -> list:
+        if who is Player.LEFT:
+            return [v for v in range(g.n)
+                    if g.degree(v) > 0 and no_isolated(g.delete_vertex(v))]
+        return [e for e in g.edges() if no_isolated(g.delete_edge(*e))]
+
+    if variant is Variant.MUTUAL_FAILURES and not (
+            classic(Player.LEFT) and classic(Player.RIGHT)):
+        return []
+    moves = classic(mover)
+    if mover is Player.LEFT and variant is Variant.FORBIDDEN_LEAF:
+        moves = [v for v in moves if g.degree(v) != 1]
+    return moves
+
+
+class TestOrbitMoves:
+    def counts(self, g: Graph, variant: Variant) -> tuple[int, int]:
+        return (len(variant_moves(g, Player.LEFT, variant)),
+                len(variant_moves(g, Player.RIGHT, variant)))
+
+    def test_one_move_per_orbit_on_families(self):
+        for variant in ALL_VARIANTS:
+            for n in range(4, 9):
+                assert self.counts(wheel(n), variant) == (2, 2)  # hub, rim; spoke, rim
+            for n in range(3, 9):
+                assert self.counts(cycle(n), variant) == (1, 1)
+                assert self.counts(complete(n), variant) == (1, 1)
+        assert self.counts(biclique(2, 3), Variant.CLASSIC) == (2, 1)
+        # the ends, the two vertices next but one to an end, and the middle
+        assert len(variant_moves(path(7), Player.LEFT, Variant.CLASSIC)) == 3
+
+    def test_orbit_results_match_every_legal_move(self):
+        # the same isomorphism classes of results as making every legal move
+        kept = total = 0
+        for graphs in connected_graphs(7).values():
+            for g in graphs:
+                for variant in ALL_VARIANTS:
+                    for mover in Player:
+                        results = variant_moves(g, mover, variant)
+                        every = [g.delete_vertex(m) if mover is Player.LEFT
+                                 else g.delete_edge(*m) for m in legal_moves(g, mover, variant)]
+                        assert ({canonical_form(r) for r in results}
+                                == {canonical_form(r) for r in every})
+                        kept += len(results)
+                        total += len(every)
+        assert kept < total
+
+    def test_orbit_counts_match_the_whole_group_through_six(self):
+        # on these graphs the automorphisms that labeling finds generate the
+        # whole group (found here by trying all n! permutations), so no
+        # orbit of moves is split in two
+        for graphs in connected_graphs(6).values():
+            for g in graphs:
+                edges = {frozenset(e) for e in g.edges()}
+                group = [p for p in itertools.permutations(range(g.n))
+                         if {frozenset((p[u], p[v])) for u, v in edges} == edges]
+                for variant in ALL_VARIANTS:
+                    lefts = legal_moves(g, Player.LEFT, variant)
+                    rights = legal_moves(g, Player.RIGHT, variant)
+                    orbits = (len({frozenset(p[v] for p in group) for v in lefts}),
+                              len({frozenset(frozenset((p[u], p[v])) for p in group)
+                                   for u, v in rights}))
+                    assert self.counts(g, variant) == orbits
 
 
 class TestCanonicalKey:
