@@ -8,11 +8,21 @@ downstream work (ordering, disjunctive sums, negation, outcome
 classification, value naming) runs on interned handles backed by global
 memo tables.
 
+Sums feed ordering through cancellation: for short games x + y <= x + z
+exactly when y <= z.  add() records each sum g = a + b whose summands are
+both born earlier than g, and leq() on a pair of recorded sums that share
+a summand answers from the other two.  The birthday guard makes every such
+step shrink the games compared, so the reduction ends: without it,
+↑ = ↑* + * and ↑* = ↑ + * would send leq(↑*, ↑) to leq(↑, ↑*) and back.
+
 Concurrency contract: reads of interned games are lock-free; handle
 allocation goes through a single lock, and memo inserts are idempotent
 single dict writes (atomic under CPython), so concurrent evaluation is
-safe.  Memo tables are unbounded unless ``memo_cap`` is set; an overfull
-table raises MemoCapExceeded rather than evicting entries.
+safe.  A game's recorded decompositions are replaced by a new dict, never
+changed in place, because leq iterates them unlocked; two threads racing
+on one game may drop a decomposition, which costs speed, not correctness.
+Memo tables are unbounded unless ``memo_cap`` is set; an overfull table
+raises MemoCapExceeded rather than evicting entries.
 """
 
 from __future__ import annotations
@@ -143,6 +153,7 @@ class GameStore:
         self._index: dict[tuple, GameId] = {}
         self._leq: dict[tuple[GameId, GameId], bool] = {}
         self._add: dict[tuple[GameId, GameId], GameId] = {}
+        self._parts: dict[GameId, dict[GameId, GameId]] = {}
         self._neg: dict[GameId, GameId] = {}
         self._canon: dict[tuple, GameId] = {}
         self._number: dict[GameId, Optional[Fraction]] = {}
@@ -209,6 +220,14 @@ class GameStore:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        pa = self._parts.get(a)
+        if pa:
+            pb = self._parts.get(b)
+            if pb:
+                for x, y in pa.items():
+                    z = pb.get(x)
+                    if z is not None:
+                        return self._memo_put(memo, key, self.leq(y, z))
         result = True
         for al in self._left[a]:
             if self.leq(b, al):
@@ -258,16 +277,20 @@ class GameStore:
         return self._memo_put(self._canon, key, gid)
 
     def _canonicalize(self, left: tuple, right: tuple) -> GameId:
+        # Removing a dominated option and bypassing a reversible one both keep
+        # the game's value, so an option once found not reversible stays so,
+        # and a bypass leaves the other side reduced.
+        left = self._maximal(left)
+        right = self._minimal(right)
+        firm_left, firm_right = set(), set()
         for _ in range(_CANON_ITER_LIMIT):
-            left = self._maximal(left)
-            right = self._minimal(right)
-            replaced = self._bypass_left(left, right)
+            replaced = self._bypass_left(left, right, firm_left)
             if replaced is not None:
-                left = tuple(sorted(set(replaced)))
+                left = self._maximal(tuple(sorted(set(replaced))))
                 continue
-            replaced = self._bypass_right(left, right)
+            replaced = self._bypass_right(left, right, firm_right)
             if replaced is not None:
-                right = tuple(sorted(set(replaced)))
+                right = self._minimal(tuple(sorted(set(replaced))))
                 continue
             return self._intern(left, right)
         raise EngineError("canonicalization did not converge")
@@ -276,28 +299,48 @@ class GameStore:
         if len(opts) <= 1:
             return opts
         leq = self.leq
-        return tuple(x for x in opts if not any(x != y and leq(x, y) for y in opts))
+        kept = []
+        for x in opts:
+            for y in opts:
+                if x != y and leq(x, y):
+                    break
+            else:
+                kept.append(x)
+        return tuple(kept)
 
     def _minimal(self, opts: tuple) -> tuple:
         if len(opts) <= 1:
             return opts
         leq = self.leq
-        return tuple(x for x in opts if not any(x != y and leq(y, x) for y in opts))
+        kept = []
+        for x in opts:
+            for y in opts:
+                if x != y and leq(y, x):
+                    break
+            else:
+                kept.append(x)
+        return tuple(kept)
 
-    def _bypass_left(self, left: tuple, right: tuple):
+    def _bypass_left(self, left: tuple, right: tuple, firm: set):
         # A Left option l reverses out through any Right response lr <= {left|right};
         # it is replaced by lr's Left options.
         for i, l in enumerate(left):
+            if l in firm:
+                continue
             for lr in self._right[l]:
                 if self._leq_id_raw(lr, left, right):
                     return left[:i] + left[i + 1:] + self._left[lr]
+            firm.add(l)
         return None
 
-    def _bypass_right(self, left: tuple, right: tuple):
+    def _bypass_right(self, left: tuple, right: tuple, firm: set):
         for i, r in enumerate(right):
+            if r in firm:
+                continue
             for rl in self._left[r]:
                 if self._leq_raw_id(left, right, rl):
                     return right[:i] + right[i + 1:] + self._right[rl]
+            firm.add(r)
         return None
 
     def _leq_id_raw(self, x: GameId, left: tuple, right: tuple) -> bool:
@@ -338,7 +381,14 @@ class GameStore:
         lefts += [self.add(a, bl) for bl in self._left[b]]
         rights = [self.add(ar, b) for ar in self._right[a]]
         rights += [self.add(a, br) for br in self._right[b]]
-        return self._memo_put(self._add, key, self.make_game(lefts, rights))
+        g = self.make_game(lefts, rights)
+        day = self.birthday(g)
+        if self.birthday(a) < day and self.birthday(b) < day:  # see the module docstring
+            parts = dict(self._parts.get(g, ()))  # a copy: readers iterate it unlocked
+            parts[a] = b
+            parts[b] = a
+            self._memo_put(self._parts, g, parts)
+        return self._memo_put(self._add, key, g)
 
     def negate(self, g: GameId) -> GameId:
         hit = self._neg.get(g)
@@ -419,10 +469,10 @@ class GameStore:
 
     def number_game(self, value) -> GameId:
         """Canonical game equal to the dyadic rational ``value``."""
-        fr = Fraction(value)
-        hit = self._number_games.get(fr)
+        hit = self._number_games.get(value)  # an int finds the equal Fraction key
         if hit is not None:
             return hit
+        fr = Fraction(value)
         if fr == 0:
             g = self.zero
         elif fr.denominator == 1:
@@ -551,7 +601,14 @@ class GameStore:
         """Brace form of the canonical tree, with named subgames abbreviated."""
         return self._render_braces(g)
 
+    def display_options(self, g: GameId) -> tuple[tuple[GameId, ...], tuple[GameId, ...]]:
+        """g's options by birthday, then rendered text: unlike GameId order,
+        this order does not depend on which games were interned first."""
+        def key(o: GameId) -> tuple[int, str]:
+            return (self.birthday(o), self.render(o))
+
+        return tuple(sorted(self._left[g], key=key)), tuple(sorted(self._right[g], key=key))
+
     def _render_braces(self, g: GameId) -> str:
-        lefts = ",".join(self.render(o) for o in self._left[g])
-        rights = ",".join(self.render(o) for o in self._right[g])
-        return "{%s|%s}" % (lefts, rights)
+        left, right = self.display_options(g)
+        return "{%s|%s}" % (",".join(map(self.render, left)), ",".join(map(self.render, right)))

@@ -172,17 +172,15 @@ def _value_payload(ctx: EngineContext, graph: Graph, variant: Variant,
             return
         seen[g] = len(ids)
         ids.append(g)
-        for o in store.left_options(g) + store.right_options(g):
+        left, right = store.display_options(g)
+        for o in left + right:
             collect(o)
 
     collect(value)
-    nodes = [
-        {
-            "left": [seen[o] for o in store.left_options(g)],
-            "right": [seen[o] for o in store.right_options(g)],
-        }
-        for g in ids
-    ]
+    nodes = []
+    for g in ids:
+        left, right = store.display_options(g)
+        nodes.append({"left": [seen[o] for o in left], "right": [seen[o] for o in right]})
     name = store.name_value(value)
     return {
         "vertices": graph.n,

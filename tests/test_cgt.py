@@ -1,6 +1,7 @@
 """Core game arithmetic: canonicalization, ordering, sums, naming."""
 
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -176,6 +177,77 @@ class TestArithmetic:
 
 
 # ----------------------------------------------------------------------
+# cancellation: leq(x + y, x + z) is answered as leq(y, z)
+# ----------------------------------------------------------------------
+
+def summed_store(seed: int):
+    """A store that ran seeded sums, and (raw tree, GameId) of every game summed.
+
+    The sums include g + (-g), * + * and up + down, and many pairs share a
+    summand, so leq on them goes through the recorded decompositions.
+    """
+    st = GameStore()
+    rng = random.Random(seed)
+    games = [(t, raw.to_store(st, t)) for t in (raw.random_raw(rng, 3) for _ in range(16))]
+    games += [(raw.neg(t), st.negate(g)) for t, g in games]
+    games += [(raw.STAR, st.star), (raw.UP, st.up), (raw.DOWN, st.down)]
+    sums = [(raw.add(ra, rb), st.add(a, b))
+            for i, (ra, a) in enumerate(games) for rb, b in games[i:] if rng.random() < 0.25]
+    sums += [(raw.add(t, raw.neg(t)), st.add(g, st.negate(g))) for t, g in games[:16]]
+    sums += [(raw.add(raw.STAR, raw.STAR), st.add(st.star, st.star)),
+             (raw.add(raw.UP, raw.DOWN), st.add(st.up, st.down))]
+    return st, games + sums
+
+
+class TestCancellation:
+    def test_decompositions_are_sums_born_earlier(self):
+        st, _ = summed_store(61)
+        assert st._parts
+        for g, parts in st._parts.items():
+            for x, y in parts.items():
+                assert st.add(x, y) == g
+                assert parts[y] == x
+                assert st.birthday(x) < st.birthday(g) and st.birthday(y) < st.birthday(g)
+
+    def test_published_decompositions_are_never_changed(self):
+        # leq iterates these dicts without a lock, so a new decomposition
+        # replaces a game's dict instead of changing it
+        st = GameStore()
+        nimbers = [st.nimber_game(k) for k in range(8)]
+        published = {}
+        for a in nimbers:
+            for b in nimbers:
+                g = st.add(a, b)
+                for old, copy in published.values():
+                    assert old == copy
+                if g in st._parts:
+                    published[g] = (st._parts[g], dict(st._parts[g]))
+        assert any(len(p) > 2 for p in st._parts.values())
+
+    def test_every_summed_pair_matches_raw(self):
+        st, games = summed_store(65)
+        shared = 0
+        for ra, a in games:
+            for rb, b in games:
+                pa, pb = st._parts.get(a, {}), st._parts.get(b, {})
+                shared += (a, b) not in st._leq and not pa.keys().isdisjoint(pb)
+                assert st.leq(a, b) == raw.leq(ra, rb)
+        assert shared > 100  # pairs first answered through a shared summand
+
+    def test_adds_do_not_change_any_answer(self):
+        st, _ = summed_store(62)
+        fresh = GameStore()
+        ids = {}
+        for g in range(len(st)):  # options have smaller handles than the game
+            ids[g] = fresh.make_game([ids[o] for o in st.left_options(g)],
+                                     [ids[o] for o in st.right_options(g)])
+        assert not fresh._parts
+        for a in range(len(st)):
+            for b in range(len(st)):
+                assert st.leq(a, b) == fresh.leq(ids[a], ids[b])
+
+
+# ----------------------------------------------------------------------
 # outcomes
 # ----------------------------------------------------------------------
 
@@ -299,6 +371,62 @@ def test_concurrent_evaluation_is_consistent():
         t.join()
     assert not errors
     assert results[0] == results[1] == results[2] == results[3]
+
+
+def test_memo_cap_bounds_sums():
+    cap = 60
+    st = GameStore(memo_cap=cap)
+    rng = random.Random(3)
+    with pytest.raises(MemoCapExceeded):
+        total = st.zero
+        for _ in range(200):
+            total = st.add(total, raw.to_store(st, raw.random_raw(rng, 3)))
+    tables = [t for t in vars(st).values() if isinstance(t, dict)]
+    assert st._parts and all(len(t) <= cap for t in tables)
+
+
+def test_threads_summing_and_comparing_agree():
+    def work(st, out, start):
+        one, half = st.number_game(1), st.number_game("1/2")
+        games = [st.up, st.ups_game(2, True), st.nimber_game(2), half,
+                 st.make_game([one], [st.zero]), st.make_game([st.up], [st.star]),
+                 st.make_game([st.nimber_game(2)], [st.down]),
+                 st.make_game([half, st.star], [st.ups_game(-1, True)])]
+        n = len(games)
+        for i in range(start, start + n):  # each thread starts elsewhere
+            a = games[i % n]
+            for j, b in enumerate(games):
+                ab = st.add(a, b)
+                for k, c in enumerate(games):
+                    abc = st.add(ab, c)
+                    out[i % n, j, k] = (st.render(abc), st.leq(st.add(a, c), abc),
+                                        st.leq(abc, st.add(b, st.add(c, c))))
+
+    expected: dict = {}
+    work(GameStore(), expected, 0)
+    shared = GameStore()
+    results: list[dict] = [{} for _ in range(8)]
+    errors = []
+
+    def run(slot):
+        try:
+            work(shared, results[slot], slot)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(r == expected for r in results)
 
 
 def test_birthday():

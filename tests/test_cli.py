@@ -218,6 +218,23 @@ class TestCacheFlag:
         assert second.out == first.out
         assert second.err == ""
 
+    def test_cache_from_another_run_does_not_change_output(self, tmp_path, capsys):
+        # this mf value has options that are themselves multi-option games;
+        # the wheel run interns some of them first, which once reordered them
+        graph = tmp_path / "g.txt"
+        graph.write_text("6 7\n0 1\n0 2\n0 3\n1 4\n1 5\n2 5\n4 5\n")
+        cache = tmp_path / "values.mdgc"
+        assert main(["value", "wheel 5", "--variant", "mf", "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        for fmt in ("text", "json"):
+            args = ["value", str(graph), "--variant", "mf", "--format", fmt]
+            assert main(args) == 0
+            cold = capsys.readouterr().out
+            assert main(args + ["--cache", str(cache)]) == 0
+            assert capsys.readouterr().out == cold
+            if fmt == "text":
+                assert "value: {0|{0,↑*|0,*2},{↑|*,*2},{↑,↑*|*,{↑*|0}}}" in cold
+
     def test_corrupt_cache_is_ignored(self, tmp_path, capsys):
         cache = tmp_path / "values.mdgc"
         main(["value", "path 7", "--variant", "mf", "--cache", str(cache)])

@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 from mdgame import Graph, MemoCapExceeded, Outcome, canonical_form, connected_graphs
+from mdgame.cli import _value_payload
 from mdgame.families import biclique, complete, cycle, path, star, wheel
 from mdgame.rules import (
     GraphGameEngine,
@@ -310,6 +311,26 @@ class TestRelabelingInvariance:
                 vb = b.engine.game_of(h, variant)
                 assert transplant(a.store, b.store, va, {}) == vb
                 assert a.store.outcome(va) is a.oracle.outcome(h, variant)
+
+
+class TestHistoryIndependentText:
+    def test_printed_values_do_not_depend_on_computation_order(self):
+        # forward and reversed order intern the games in different GameId
+        # orders; before options were printed by birthday and text, 22 of
+        # these 426 values printed differently
+        graphs = [g for n, gs in connected_graphs(6).items() if n > 1 for g in gs]
+        for variant in ALL_VARIANTS:
+            fwd, rev = make_context(), make_context()
+            texts = {}
+            for i, g in enumerate(graphs):
+                v = fwd.engine.game_of(g, variant)
+                texts[i] = (fwd.store.render(v), fwd.store.canonical_text(v),
+                            _value_payload(fwd, g, variant, v, fwd.store.outcome(v)))
+            for i in reversed(range(len(graphs))):
+                g = graphs[i]
+                v = rev.engine.game_of(g, variant)
+                assert texts[i] == (rev.store.render(v), rev.store.canonical_text(v),
+                                    _value_payload(rev, g, variant, v, rev.store.outcome(v)))
 
 
 # ----------------------------------------------------------------------
