@@ -15,12 +15,23 @@ a summand answers from the other two.  The birthday guard makes every such
 step shrink the games compared, so the reduction ends: without it,
 ↑ = ↑* + * and ↑* = ↑ + * would send leq(↑*, ↑) to leq(↑, ↑*) and back.
 
+Sums are also memoized by their multiset of summands.  Each sum add()
+builds records the sorted concatenation of its two summands' multisets (a
+game with none counts as itself), so x + (y + z), (x + y) + z and
+(x + z) + y are built once: addition is commutative and associative on
+values, and canonical forms are unique.  A game keeps the first multiset
+found for it, and one that contains the sum itself (x + * + * = x) is never
+recorded, so multisets stay finite.
+
 Concurrency contract: reads of interned games are lock-free; handle
 allocation goes through a single lock, and memo inserts are idempotent
 single dict writes (atomic under CPython), so concurrent evaluation is
 safe.  A game's recorded decompositions are replaced by a new dict, never
 changed in place, because leq iterates them unlocked; two threads racing
 on one game may drop a decomposition, which costs speed, not correctness.
+Two threads racing to record a game's multiset of summands may each write
+one; either is a true decomposition, so later sums stay exact and at worst
+miss the multiset memo.
 Memo tables are unbounded unless ``memo_cap`` is set; an overfull table
 raises MemoCapExceeded rather than evicting entries.
 """
@@ -153,6 +164,8 @@ class GameStore:
         self._index: dict[tuple, GameId] = {}
         self._leq: dict[tuple[GameId, GameId], bool] = {}
         self._add: dict[tuple[GameId, GameId], GameId] = {}
+        self._summands: dict[GameId, tuple[GameId, ...]] = {}
+        self._sums: dict[tuple[GameId, ...], GameId] = {}
         self._parts: dict[GameId, dict[GameId, GameId]] = {}
         self._neg: dict[GameId, GameId] = {}
         self._canon: dict[tuple, GameId] = {}
@@ -377,11 +390,17 @@ class GameStore:
         hit = self._add.get(key)
         if hit is not None:
             return hit
-        lefts = [self.add(al, b) for al in self._left[a]]
-        lefts += [self.add(a, bl) for bl in self._left[b]]
-        rights = [self.add(ar, b) for ar in self._right[a]]
-        rights += [self.add(a, br) for br in self._right[b]]
-        g = self.make_game(lefts, rights)
+        summands = tuple(sorted(self._summands.get(a, (a,)) + self._summands.get(b, (b,))))
+        g = self._sums.get(summands)
+        if g is None:  # not built yet in any order or grouping
+            lefts = [self.add(al, b) for al in self._left[a]]
+            lefts += [self.add(a, bl) for bl in self._left[b]]
+            rights = [self.add(ar, b) for ar in self._right[a]]
+            rights += [self.add(a, br) for br in self._right[b]]
+            g = self.make_game(lefts, rights)
+            if g not in self._summands and g not in summands:  # see the module docstring
+                self._memo_put(self._summands, g, summands)
+            self._memo_put(self._sums, summands, g)
         day = self.birthday(g)
         if self.birthday(a) < day and self.birthday(b) < day:  # see the module docstring
             parts = dict(self._parts.get(g, ()))  # a copy: readers iterate it unlocked

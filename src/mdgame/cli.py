@@ -12,7 +12,9 @@ format: a header line "n m", then m lines "u v" with 0-based endpoints;
 blank lines and lines starting with "#" are ignored.  "-" reads the
 edge list from stdin.
 
-Exit codes: 0 success, 1 verification failure, 2 input parse error,
+Exit codes: 0 success, 1 verification failure, 2 unusable input (graph
+text, option value, or an output path that is a directory or lies in a
+missing one),
 3 resource limit (graph too large, memo cap, unstable remote star),
 4 precondition violation (e.g. atomic weight of a non-all-small game).
 """
@@ -104,6 +106,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ParseError(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
+    seen: dict[tuple[int, int], str] = {}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -112,6 +115,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint in {line!r}") from None
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(f"edge {line!r} repeats edge {seen[key]!r}")
+        seen[key] = line
         edges.append((u, v))
     try:
         return Graph.from_edges(n, edges)
@@ -133,14 +140,34 @@ def parse_graph_input(text: str) -> Graph:
 # commands
 # ----------------------------------------------------------------------
 
+def _star_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if order < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {order}")
+    return order
+
+
+def _output_path(text: str) -> str:
+    # checked before any work, so a typo does not cost the whole run
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    return text
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-component", type=int, default=DEFAULT_COMPONENT_LIMIT,
                    help="largest connected component the engine will canonicalize")
     p.add_argument("--memo-cap", type=int, default=None,
                    help="fail once any memo table reaches this many entries")
-    p.add_argument("--remote-star", type=int, default=2,
+    p.add_argument("--remote-star", type=_star_order, default=2,
                    help="minimum nim-heap order used as the remote-star surrogate")
-    p.add_argument("--cache", default=None,
+    p.add_argument("--cache", type=_output_path, default=None,
                    help="value-cache file, loaded before and saved after the run")
 
 
@@ -312,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="range ceiling for table-aw / path-signs / farstar")
     p_verify.add_argument("--max-vertices", type=int, default=None,
                           help="vertex ceiling for the bias suite")
-    p_verify.add_argument("--report", default=None,
+    p_verify.add_argument("--report", type=_output_path, default=None,
                           help="write the JSON report to this file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     _add_engine_flags(p_verify)

@@ -1,5 +1,7 @@
 """Core game arithmetic: canonicalization, ordering, sums, naming."""
 
+import functools
+import itertools
 import random
 import sys
 import threading
@@ -248,6 +250,66 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
+# the sum memo: one sum per multiset of summands
+# ----------------------------------------------------------------------
+
+def bracketings(st, ids):
+    """The sum of ids in this order, once per way of bracketing it."""
+    if len(ids) == 1:
+        return [ids[0]]
+    return [st.add(a, b) for i in range(1, len(ids))
+            for a in bracketings(st, ids[:i]) for b in bracketings(st, ids[i:])]
+
+
+def every_order_and_grouping(st, ids):
+    return [g for order in itertools.permutations(ids) for g in bracketings(st, list(order))]
+
+
+def raw_of(st, g):
+    """The canonical tree of g as a raw game."""
+    return (tuple(raw_of(st, o) for o in st.left_options(g)),
+            tuple(raw_of(st, o) for o in st.right_options(g)))
+
+
+class TestSumMemo:
+    @pytest.mark.parametrize("seed", [1, 3, 4, 10])
+    def test_every_order_and_grouping_gives_one_game(self, seed):
+        st = GameStore()
+        rng = random.Random(seed)
+        pool = [raw.random_raw(rng, 2) for _ in range(4)]
+        checked = set()
+        for _ in range(30):
+            # drawn with replacement, so summands repeat
+            picks = sorted(rng.randrange(len(pool)) for _ in range(rng.randint(2, 3)))
+            trees = [pool[i] for i in picks]
+            sums = set(every_order_and_grouping(st, [raw.to_store(st, t) for t in trees]))
+            assert len(sums) == 1
+            if tuple(picks) not in checked:  # the raw sum is slow to compare
+                checked.add(tuple(picks))
+                assert raw.eq(raw_of(st, sums.pop()), functools.reduce(raw.add, trees))
+
+    def test_repeated_summands_are_kept_apart(self):
+        st = GameStore()
+        up_star = st.add(st.up, st.star)  # built first, so a memo that merged repeats would find it
+        assert st.add(st.star, st.star) == st.zero
+        assert st.add(up_star, st.star) == st.up
+        two_up_star = st.add(st.add(st.up, st.up), st.star)
+        assert two_up_star != up_star
+        assert raw.eq(raw_of(st, two_up_star), raw.add(raw.add(raw.UP, raw.UP), raw.STAR))
+
+    def test_regrouped_sum_is_not_rebuilt(self, monkeypatch):
+        st = GameStore()
+        x, y = st.nimber_game(2), st.up
+        xyy = st.add(st.add(x, y), y)
+        assert raw.eq(raw_of(st, xyy), raw.add(raw.add(raw_of(st, x), raw.UP), raw.UP))
+        yy = st.add(y, y)
+        built = []
+        monkeypatch.setattr(st, "make_game", lambda left, right: built.append((left, right)))
+        assert st.add(x, yy) == xyy
+        assert not built
+
+
+# ----------------------------------------------------------------------
 # outcomes
 # ----------------------------------------------------------------------
 
@@ -401,9 +463,13 @@ def test_threads_summing_and_comparing_agree():
                     abc = st.add(ab, c)
                     out[i % n, j, k] = (st.render(abc), st.leq(st.add(a, c), abc),
                                         st.leq(abc, st.add(b, st.add(c, c))))
+        for i in range(start, start + n):  # one summand repeats
+            trio = [games[i % n], games[(i + 1) % n], games[i % n]]
+            out["orders", i % n] = {st.render(g) for g in every_order_and_grouping(st, trio)}
 
     expected: dict = {}
     work(GameStore(), expected, 0)
+    assert all(len(v) == 1 for key, v in expected.items() if key[0] == "orders")
     shared = GameStore()
     results: list[dict] = [{} for _ in range(8)]
     errors = []

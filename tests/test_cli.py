@@ -199,6 +199,39 @@ class TestExitCodes:
         # classic P4 = {1|0} is not all-small, so aw refuses
         assert main(["aw", "path 4", "--variant", "classic"]) == 4
 
+    def test_repeated_edge(self, tmp_path, capsys):
+        f = tmp_path / "twice.edges"
+        f.write_text("3 3\n0 1\n1 0\n1 2\n")
+        assert main(["value", str(f)]) == 2
+        assert capsys.readouterr().err == "error: edge '1 0' repeats edge '0 1'\n"
+
+    def test_remote_star_below_two(self, capsys):
+        # rejected while parsing arguments, like any other bad option value
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "path 4", "--remote-star", "1"])
+        assert exc.value.code == 2
+        assert "--remote-star: must be at least 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["value", "path 4", "--cache"],
+        ["verify", "--suite", "table-aw", "--report"],
+    ])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unwritable_output_path(self, args, exists, tmp_path, monkeypatch, capsys):
+        # rejected while parsing arguments, before any work
+        def no_work(**kwargs):
+            raise AssertionError("computed before checking the output path")
+
+        monkeypatch.setattr("mdgame.cli.make_context", no_work)
+        target = tmp_path if exists else tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(args + [str(target)])
+        assert exc.value.code == 2
+        problem = f"'{target}' is a directory" if exists else (
+            f"directory '{target.parent}' does not exist")
+        assert f"error: argument {args[-1]}: {problem}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
 
 # ----------------------------------------------------------------------
 # cache flag
