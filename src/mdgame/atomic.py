@@ -9,20 +9,24 @@ is computed by the standard recursion
 with the integer exception: when the bracket simplifies to an integer, the
 result is instead picked from the integers adjacent to the option weights
 according to how g compares with a remote star (a nim-heap *N larger than
-every nimber inside g).  Comparisons against the remote star use a finite
-surrogate order N, validated by recomputing at N+1; disagreement raises
-RemoteStarUnstable rather than returning a guess.
+every nimber inside g).  Comparisons against the remote star use the
+finite surrogate order N = 2 + the largest nimber inside g, validated by
+recomputing at N+1; disagreement raises RemoteStarUnstable rather than
+returning a guess.  The calculator's memo tables are bounded by the
+store's memo_cap, like the store's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .cgt import EngineError, GameId, GameStore, Comparison, Outcome
 
 _SCAN_LIMIT = 10_000
+
+_T = TypeVar("_T")
 
 
 class NotAllSmall(EngineError):
@@ -66,11 +70,8 @@ def two_ahead_bound(aw: AtomicWeight) -> Optional[Outcome]:
 class AtomicCalculator:
     """Atomic-weight and far-star computations over one GameStore."""
 
-    def __init__(self, store: GameStore, star_floor: int = 2):
-        if star_floor < 2:
-            raise ValueError("remote star order must be at least 2")
+    def __init__(self, store: GameStore):
         self.store = store
-        self.star_floor = star_floor
         self._aw: dict[GameId, AtomicWeight] = {}
         self._order: dict[GameId, StarOrder] = {}
         self._max_nimber: dict[GameId, int] = {}
@@ -81,7 +82,7 @@ class AtomicCalculator:
 
     def surrogate_order(self, g: GameId) -> int:
         """Order of the *N surrogate used for far-star comparisons against g."""
-        return max(self.star_floor, 2 + self._max_nimber_in(g))
+        return 2 + self._max_nimber_in(g)
 
     def _max_nimber_in(self, g: GameId) -> int:
         hit = self._max_nimber.get(g)
@@ -93,8 +94,7 @@ class AtomicCalculator:
             sub = self._max_nimber_in(o)
             if sub > best:
                 best = sub
-        self._max_nimber[g] = best
-        return best
+        return st._memo_put(self._max_nimber, g, best)
 
     def remote_star_order(self, g: GameId) -> StarOrder:
         """How g compares with a remote star: Greater, Less, or Confused."""
@@ -104,14 +104,16 @@ class AtomicCalculator:
         hit = self._order.get(g)
         if hit is not None:
             return hit
+        return st._memo_put(self._order, g, self._stable(self._order_versus_star, g))
+
+    def _stable(self, test: Callable[[GameId, int], _T], g: GameId) -> _T:
+        """test(g, N) at the surrogate order N, required to agree at N + 1."""
         n = self.surrogate_order(g)
-        first = self._order_versus_star(g, n)
-        second = self._order_versus_star(g, n + 1)
+        first, second = test(g, n), test(g, n + 1)
         if first != second:
             raise RemoteStarUnstable(
                 f"comparison with *{n} and *{n + 1} disagreed ({first} vs {second})"
             )
-        self._order[g] = first
         return first
 
     def _order_versus_star(self, g: GameId, order: int) -> StarOrder:
@@ -127,15 +129,7 @@ class AtomicCalculator:
         st = self.store
         if not st.is_all_small(g) or not st.is_all_small(h):
             raise NotAllSmall("far-star equivalence requires all-small games")
-        diff = st.sub(g, h)
-        n = self.surrogate_order(diff)
-        first = self._within_far_star(diff, n)
-        second = self._within_far_star(diff, n + 1)
-        if first != second:
-            raise RemoteStarUnstable(
-                f"far-star bounds at *{n} and *{n + 1} disagreed"
-            )
-        return first
+        return self._stable(self._within_far_star, st.sub(g, h))
 
     def _within_far_star(self, diff: GameId, order: int) -> bool:
         st = self.store
@@ -163,9 +157,7 @@ class AtomicCalculator:
             return hit
         st = self.store
         if g == st.zero:
-            result = AtomicWeight(st.zero, True, 0)
-            self._aw[g] = result
-            return result
+            return st._memo_put(self._aw, g, AtomicWeight(st.zero, True, 0))
         two = st.number_game(2)
         lefts = [st.sub(self._weight(o).value, two) for o in st.left_options(g)]
         rights = [st.add(self._weight(o).value, two) for o in st.right_options(g)]
@@ -183,8 +175,7 @@ class AtomicCalculator:
             else:
                 chosen = x
             result = AtomicWeight(st.number_game(chosen), True, chosen)
-        self._aw[g] = result
-        return result
+        return st._memo_put(self._aw, g, result)
 
     def _integer_exception_bounds(
         self, lefts: list[GameId], rights: list[GameId], base: int

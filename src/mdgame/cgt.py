@@ -39,7 +39,6 @@ raises MemoCapExceeded rather than evicting entries.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -47,10 +46,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 GameId = int
-
-# Canonicalization, ordering and sums recurse to the birthday of the games
-# involved; the default CPython limit is too tight for deep option DAGs.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 _CANON_ITER_LIMIT = 100_000
 
@@ -560,34 +555,24 @@ class GameStore:
         return self._memo_put(self._ups_games, key, g)
 
     def _up_multiple_of(self, g: GameId) -> Optional[tuple[int, bool]]:
-        r = self._ups_pattern(g, True)
+        r = self._ups_pattern(g)
         if r is not None:
             return r
-        r = self._ups_pattern(g, False)
+        r = self._ups_pattern(self.negate(g))  # downs are negated ups
         if r is not None:
             return (-r[0], r[1])
         return None
 
-    def _ups_pattern(self, g: GameId, positive: bool) -> Optional[tuple[int, bool]]:
+    def _ups_pattern(self, g: GameId) -> Optional[tuple[int, bool]]:
         # canonical shapes: n.up = {0 | (n-1).up*}, n.up* = {0 | (n-1).up}, n >= 2
-        if positive:
-            if g == self.up:
-                return (1, False)
-            if g == self.up_star:
-                return (1, True)
-            if self._left[g] == (self.zero,) and len(self._right[g]) == 1:
-                sub = self._ups_pattern(self._right[g][0], True)
-                if sub is not None and sub[0] >= 1:
-                    return (sub[0] + 1, not sub[1])
-        else:
-            if g == self.down:
-                return (1, False)
-            if g == self.down_star:
-                return (1, True)
-            if self._right[g] == (self.zero,) and len(self._left[g]) == 1:
-                sub = self._ups_pattern(self._left[g][0], False)
-                if sub is not None and sub[0] >= 1:
-                    return (sub[0] + 1, not sub[1])
+        if g == self.up:
+            return (1, False)
+        if g == self.up_star:
+            return (1, True)
+        if self._left[g] == (self.zero,) and len(self._right[g]) == 1:
+            sub = self._ups_pattern(self._right[g][0])
+            if sub is not None and sub[0] >= 1:
+                return (sub[0] + 1, not sub[1])
         return None
 
     def name_value(self, g: GameId) -> ValueName:

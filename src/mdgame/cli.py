@@ -13,8 +13,8 @@ blank lines and lines starting with "#" are ignored.  "-" reads the
 edge list from stdin.
 
 Exit codes: 0 success, 1 verification failure, 2 unusable input (graph
-text, option value, or an output path that is a directory or lies in a
-missing one),
+text, option value, an empty winners range, or an output path that is a
+directory or lies in a missing one),
 3 resource limit (graph too large, memo cap, unstable remote star),
 4 precondition violation (e.g. atomic weight of a non-all-small game).
 """
@@ -34,6 +34,7 @@ from .graphs import DEFAULT_COMPONENT_LIMIT, Graph, TooLarge
 from .rules import EngineContext, Variant, make_context
 from .verify import (
     SUITE_NAMES,
+    EmptyRange,
     VerifyConfig,
     format_report,
     run_all,
@@ -140,14 +141,14 @@ def parse_graph_input(text: str) -> Graph:
 # commands
 # ----------------------------------------------------------------------
 
-def _star_order(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
-        order = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if order < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {order}")
-    return order
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _output_path(text: str) -> str:
@@ -161,22 +162,17 @@ def _output_path(text: str) -> str:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-component", type=int, default=DEFAULT_COMPONENT_LIMIT,
+    p.add_argument("--max-component", type=_at_least_one,
+                   default=DEFAULT_COMPONENT_LIMIT,
                    help="largest connected component the engine will canonicalize")
-    p.add_argument("--memo-cap", type=int, default=None,
+    p.add_argument("--memo-cap", type=_at_least_one, default=None,
                    help="fail once any memo table reaches this many entries")
-    p.add_argument("--remote-star", type=_star_order, default=2,
-                   help="minimum nim-heap order used as the remote-star surrogate")
     p.add_argument("--cache", type=_output_path, default=None,
                    help="value-cache file, loaded before and saved after the run")
 
 
 def _make_context(args: argparse.Namespace) -> EngineContext:
-    ctx = make_context(
-        max_component=args.max_component,
-        memo_cap=args.memo_cap,
-        star_floor=args.remote_star,
-    )
+    ctx = make_context(max_component=args.max_component, memo_cap=args.memo_cap)
     if args.cache and os.path.exists(args.cache) and not ctx.engine.load_cache(args.cache):
         print(f"warning: value cache {args.cache} not loaded (wrong format, version "
               "or checksum); it will be overwritten", file=sys.stderr)
@@ -268,15 +264,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ParseError(f"unknown suite {s!r} (choose from {', '.join(SUITE_NAMES)})")
     config = VerifyConfig(
         suites=suites,
+        max_n=args.max_n,
         winners_variant=Variant(args.variant) if args.variant else None,
         winners_family=FamilyKind(args.family) if args.family else None,
         winners_from=args.from_n,
         winners_to=args.to,
     )
-    if args.max_n is not None:
-        config.table_aw_max_n = args.max_n
-        config.signs_max_n = args.max_n
-        config.farstar_max_n = args.max_n
     if args.max_vertices is not None:
         config.bias_max_vertices = args.max_vertices
     ctx = _make_context(args)
@@ -354,7 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, EmptyRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TooLarge, MemoCapExceeded, RemoteStarUnstable) as exc:

@@ -442,12 +442,11 @@ class EngineContext:
 
 
 def make_context(max_component: int = DEFAULT_COMPONENT_LIMIT,
-                 memo_cap: Optional[int] = None,
-                 star_floor: int = 2) -> EngineContext:
+                 memo_cap: Optional[int] = None) -> EngineContext:
     store = GameStore(memo_cap=memo_cap)
     return EngineContext(
         store=store,
         engine=GraphGameEngine(store, max_component=max_component),
-        atomic=AtomicCalculator(store, star_floor=star_floor),
+        atomic=AtomicCalculator(store),
         oracle=Oracle(),
     )

@@ -3,9 +3,9 @@
 Each check returns a CheckReport holding per-instance rows.  A row with
 ``ok`` True/False participates in the pass/fail verdict; a row with ``ok``
 None is informational only (instances outside any proved range).  Engine
-results are cross-checked against the brute-force Oracle wherever the
-instance fits the oracle budget; a disagreement there is not a "failed
-row" but an engine defect, so it raises CrossCheckFailure immediately.
+results are cross-checked against the brute-force Oracle up to each
+family's oracle_largest size; a disagreement there is not a "failed row"
+but an engine defect, so it raises CrossCheckFailure immediately.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cgt import Comparison, EngineError, Outcome
 from .atomic import StarOrder
@@ -94,31 +94,42 @@ def format_report(report: CheckReport) -> str:
 
 
 # ----------------------------------------------------------------------
-# oracle budget
+# family sizes
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Largest instance per family the brute-force referee is asked to replay."""
+class FamilySizes(NamedTuple):
+    """Sizes the winners suite covers for one family."""
 
-    path_to: int = 12
-    cycle_to: int = 12
-    complete_to: int = 6
-    wheel_to: int = 6
+    smallest: int
+    default_largest: int
+    oracle_largest: int  # largest size the brute-force Oracle replays
 
-    def covers(self, spec: FamilySpec) -> bool:
-        limit = {
-            FamilyKind.PATH: self.path_to,
-            FamilyKind.CYCLE: self.cycle_to,
-            FamilyKind.COMPLETE: self.complete_to,
-            FamilyKind.WHEEL: self.wheel_to,
-        }.get(spec.kind)
-        return limit is not None and spec.a <= limit
+
+FAMILY_SIZES: dict[FamilyKind, FamilySizes] = {
+    FamilyKind.PATH: FamilySizes(2, 16, 12),
+    FamilyKind.CYCLE: FamilySizes(3, 14, 12),
+    FamilyKind.WHEEL: FamilySizes(3, 8, 6),
+    FamilyKind.COMPLETE: FamilySizes(2, 6, 6),
+}
+
+
+class EmptyRange(ValueError):
+    """A winners range holds no size of its family."""
+
+
+def _sizes(family: FamilyKind, lo: int, hi: int) -> range:
+    """The family's sizes in lo..hi; raises EmptyRange when there are none."""
+    smallest = FAMILY_SIZES[family].smallest
+    sizes = range(max(lo, smallest), hi + 1)
+    if not sizes:
+        raise EmptyRange(f"no {family.value} size in n={lo}..{hi} "
+                         f"(the smallest is {smallest})")
+    return sizes
 
 
 def _cross_check(ctx: EngineContext, spec: FamilySpec, variant: Variant,
-                 computed: Outcome, budget: OracleBudget) -> bool:
-    if not budget.covers(spec):
+                 computed: Outcome) -> bool:
+    if spec.a > FAMILY_SIZES[spec.kind].oracle_largest:
         return False
     actual = ctx.oracle.outcome(build(spec), variant)
     if actual is not computed:
@@ -157,29 +168,21 @@ WINNER_CLAIMS: dict[tuple[Variant, FamilyKind], WinnerClaim] = {
     (Variant.MUTUAL_FAILURES, FamilyKind.COMPLETE): WinnerClaim(5, frozenset(), Outcome.LEFT_WINS),
 }
 
-_FAMILY_FLOOR = {
-    FamilyKind.PATH: 2,
-    FamilyKind.CYCLE: 3,
-    FamilyKind.WHEEL: 3,
-    FamilyKind.COMPLETE: 2,
-}
-
 
 def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
-                  lo: int, hi: int,
-                  budget: OracleBudget = OracleBudget()) -> CheckReport:
-    """Outcomes across a family range, asserted where a theorem applies."""
+                  lo: int, hi: int) -> CheckReport:
+    """Outcomes across a family range, asserted where a theorem applies.
+    Raises EmptyRange when no size of the family lies in lo..hi."""
     t0 = time.perf_counter()
     claim = WINNER_CLAIMS.get((variant, family))
     report = CheckReport(
         name=f"winners {variant.value} {family.value}",
         scope=f"n={lo}..{hi}",
     )
-    lo = max(lo, _FAMILY_FLOOR[family])
-    for n in range(lo, hi + 1):
+    for n in _sizes(family, lo, hi):
         spec = FamilySpec(family, n)
         outcome = ctx.engine.outcome_of(build(spec), variant)
-        checked = _cross_check(ctx, spec, variant, outcome, budget)
+        checked = _cross_check(ctx, spec, variant, outcome)
         note = "oracle agrees" if checked else ""
         if claim is not None and claim.applies(n):
             report.rows.append(CheckRow(
@@ -326,54 +329,66 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
 # full run
 # ----------------------------------------------------------------------
 
+SUITE_NAMES = ("table-aw", "winners", "path-signs", "farstar", "bias")
+TABLE_AW_MAX_N = 12
+SIGNS_MAX_N = 16
+FARSTAR_MAX_N = 12
+
+
 @dataclass
 class VerifyConfig:
-    suites: tuple[str, ...] = ("table-aw", "winners", "path-signs", "farstar", "bias")
-    table_aw_max_n: int = 12
-    signs_max_n: int = 16
-    farstar_max_n: int = 12
+    """What run_all checks.  max_n bounds table-aw, path-signs and farstar
+    alike (None: each suite's default); winners bounds left None come from
+    FAMILY_SIZES.  An empty winners range raises EmptyRange on creation."""
+
+    suites: tuple[str, ...] = SUITE_NAMES
+    max_n: Optional[int] = None
     bias_max_vertices: int = 6
     winners_variant: Optional[Variant] = None
     winners_family: Optional[FamilyKind] = None
     winners_from: Optional[int] = None
     winners_to: Optional[int] = None
-    oracle_budget: OracleBudget = OracleBudget()
 
+    def __post_init__(self) -> None:
+        self.winner_runs()
 
-_DEFAULT_WINNER_RANGES: dict[FamilyKind, tuple[int, int]] = {
-    FamilyKind.PATH: (2, 16),
-    FamilyKind.CYCLE: (3, 14),
-    FamilyKind.WHEEL: (3, 8),
-    FamilyKind.COMPLETE: (2, 6),
-}
+    def winner_runs(self) -> list[tuple[Variant, FamilyKind, int, int]]:
+        """(variant, family, lo, hi) for each winners report, in order."""
+        if "winners" not in self.suites:
+            return []
+        runs = []
+        for variant, family in WINNER_CLAIMS:
+            if self.winners_variant not in (None, variant):
+                continue
+            if self.winners_family not in (None, family):
+                continue
+            sizes = FAMILY_SIZES[family]
+            lo = sizes.smallest if self.winners_from is None else self.winners_from
+            hi = sizes.default_largest if self.winners_to is None else self.winners_to
+            _sizes(family, lo, hi)
+            runs.append((variant, family, lo, hi))
+        return runs
 
-SUITE_NAMES = ("table-aw", "winners", "path-signs", "farstar", "bias")
+    def suite_max_n(self, default: int) -> int:
+        return default if self.max_n is None else self.max_n
 
 
 def run_all(config: VerifyConfig, ctx: Optional[EngineContext] = None) -> list[CheckReport]:
     """Run the selected suites and return their reports in a stable order."""
+    winner_runs = config.winner_runs()
     if ctx is None:
         ctx = make_context()
     reports: list[CheckReport] = []
     if "table-aw" in config.suites:
-        reports.append(check_table_aw(ctx, config.table_aw_max_n))
-    if "winners" in config.suites:
-        for (variant, family), _claim in WINNER_CLAIMS.items():
-            if config.winners_variant is not None and variant is not config.winners_variant:
-                continue
-            if config.winners_family is not None and family is not config.winners_family:
-                continue
-            lo, hi = _DEFAULT_WINNER_RANGES[family]
-            if config.winners_from is not None:
-                lo = config.winners_from
-            if config.winners_to is not None:
-                hi = config.winners_to
-            reports.append(check_winners(ctx, variant, family, lo, hi, config.oracle_budget))
+        reports.append(check_table_aw(ctx, config.suite_max_n(TABLE_AW_MAX_N)))
+    for variant, family, lo, hi in winner_runs:
+        reports.append(check_winners(ctx, variant, family, lo, hi))
     if "path-signs" in config.suites:
-        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, config.signs_max_n))
-        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, config.signs_max_n))
+        signs_max_n = config.suite_max_n(SIGNS_MAX_N)
+        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, signs_max_n))
+        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, signs_max_n))
     if "farstar" in config.suites:
-        reports.append(check_farstar_paths(ctx, config.farstar_max_n))
+        reports.append(check_farstar_paths(ctx, config.suite_max_n(FARSTAR_MAX_N)))
     if "bias" in config.suites:
         reports.append(check_bias_props(ctx, config.bias_max_vertices))
     return reports

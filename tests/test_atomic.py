@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 
 from mdgame import (
+    AtomicCalculator,
     AtomicWeight,
     Comparison,
+    MemoCapExceeded,
     NotAllSmall,
     NotInteger,
     Outcome,
@@ -152,6 +154,18 @@ class TestAtomicWeight:
         got = [ctx.atomic.atomic_weight(mf_value(ctx, n)).integer
                for n in range(2, 13)]
         assert got == want
+
+    def test_memo_cap_bounds_its_tables(self):
+        ctx = make_context()
+        g = mf_value(ctx, 12)  # its weight fills each table with 10 or 11 entries
+        ctx.atomic.atomic_weight(g)  # so the store needs no new entries below
+        cap = 5
+        ctx.store.memo_cap = cap
+        fresh = AtomicCalculator(ctx.store)
+        with pytest.raises(MemoCapExceeded):
+            fresh.atomic_weight(g)
+        tables = [t for t in vars(fresh).values() if isinstance(t, dict)]
+        assert len(tables) == 3 and all(len(t) <= cap for t in tables)
 
 
 class TestTwoAhead:

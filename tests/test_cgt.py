@@ -3,13 +3,16 @@
 import functools
 import itertools
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import rawgames as raw
+import mdgame
 from mdgame import Comparison, DyadicRational, GameStore, MemoCapExceeded, Outcome
 
 
@@ -433,6 +436,16 @@ def test_concurrent_evaluation_is_consistent():
         t.join()
     assert not errors
     assert results[0] == results[1] == results[2] == results[3]
+
+
+def test_import_leaves_recursion_limit_alone():
+    # a library must not change process-wide interpreter settings
+    src = Path(mdgame.__file__).parent.parent
+    code = ("import sys; before = sys.getrecursionlimit(); import mdgame; "
+            "print(before, sys.getrecursionlimit())")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert out[0] == out[1]
 
 
 def test_memo_cap_bounds_sums():

@@ -205,12 +205,32 @@ class TestExitCodes:
         assert main(["value", str(f)]) == 2
         assert capsys.readouterr().err == "error: edge '1 0' repeats edge '0 1'\n"
 
-    def test_remote_star_below_two(self, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        ("--memo-cap", "-1"), ("--memo-cap", "0"), ("--max-component", "-3"),
+    ])
+    def test_limit_below_one(self, flag, value, capsys):
         # rejected while parsing arguments, like any other bad option value
         with pytest.raises(SystemExit) as exc:
-            main(["value", "path 4", "--remote-star", "1"])
+            main(["value", "path 4", flag, value])
         assert exc.value.code == 2
-        assert "--remote-star: must be at least 2, got 1" in capsys.readouterr().err
+        assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, problem", [
+        (["--from", "9", "--to", "3", "--family", "path", "--variant", "classic"],
+         "no path size in n=9..3 (the smallest is 2)"),
+        (["--family", "cycle", "--to", "2"],
+         "no cycle size in n=3..2 (the smallest is 3)"),
+    ])
+    def test_empty_winners_range(self, args, problem, monkeypatch, capsys):
+        # rejected before any suite runs, not reported as a pass
+        def no_work(**kwargs):
+            raise AssertionError("computed before checking the winners range")
+
+        monkeypatch.setattr("mdgame.cli.make_context", no_work)
+        assert main(["verify", "--suite", "winners"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {problem}\n"
 
     @pytest.mark.parametrize("args", [
         ["value", "path 4", "--cache"],

@@ -9,7 +9,7 @@ from mdgame.verify import (
     CheckReport,
     CheckRow,
     CrossCheckFailure,
-    OracleBudget,
+    EmptyRange,
     VerifyConfig,
     check_bias_props,
     check_farstar_paths,
@@ -72,13 +72,16 @@ class TestWinners:
     def test_floor_is_clamped(self, vctx):
         report = check_winners(vctx, Variant.CLASSIC, FamilyKind.CYCLE, 1, 4)
         assert [r.instance for r in report.rows] == ["cycle 3", "cycle 4"]
+        with pytest.raises(EmptyRange):
+            check_winners(vctx, Variant.CLASSIC, FamilyKind.CYCLE, 1, 2)
+        with pytest.raises(EmptyRange):
+            VerifyConfig(winners_family=FamilyKind.PATH, winners_from=9, winners_to=3)
 
     def test_oracle_budget_limits_note(self, vctx):
-        budget = OracleBudget(path_to=5)
-        report = check_winners(vctx, Variant.CLASSIC, FamilyKind.PATH, 5, 7, budget)
+        report = check_winners(vctx, Variant.CLASSIC, FamilyKind.PATH, 12, 13)
         rows = rows_by_instance(report)
-        assert rows["path 5"].note == "oracle agrees"
-        assert rows["path 7"].note == ""
+        assert rows["path 12"].note == "oracle agrees"
+        assert rows["path 13"].note == ""
 
     def test_cross_check_failure_raises(self, vctx):
         broken = make_context()
@@ -142,9 +145,7 @@ class TestReports:
 
 class TestRunAll:
     CONFIG = VerifyConfig(
-        table_aw_max_n=7,
-        signs_max_n=7,
-        farstar_max_n=7,
+        max_n=7,
         bias_max_vertices=5,
         winners_to=6,
     )
