@@ -30,8 +30,8 @@ from typing import Optional
 from .cgt import GameId, MemoCapExceeded, Outcome
 from .atomic import NotAllSmall, NotInteger, RemoteStarUnstable
 from .families import BadParams, FamilyKind, FamilySpec, build
-from .graphs import DEFAULT_COMPONENT_LIMIT, Graph, TooLarge
-from .rules import EngineContext, Variant, make_context
+from .graphs import Graph, TooLarge
+from .rules import DEFAULT_COMPONENT_LIMIT, EngineContext, Variant, make_context
 from .verify import (
     SUITE_NAMES,
     EmptyRange,
@@ -269,9 +269,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         winners_family=FamilyKind(args.family) if args.family else None,
         winners_from=args.from_n,
         winners_to=args.to,
+        bias_max_vertices=args.max_vertices,
     )
-    if args.max_vertices is not None:
-        config.bias_max_vertices = args.max_vertices
     ctx = _make_context(args)
     reports = run_all(config, ctx)
     _finish(args, ctx)
@@ -330,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest family parameter for winners")
     p_verify.add_argument("--max-n", type=int, default=None,
                           help="range ceiling for table-aw / path-signs / farstar")
-    p_verify.add_argument("--max-vertices", type=int, default=None,
+    p_verify.add_argument("--max-vertices", type=int,
+                          default=VerifyConfig.bias_max_vertices,
                           help="vertex ceiling for the bias suite")
     p_verify.add_argument("--report", type=_output_path, default=None,
                           help="write the JSON report to this file")

@@ -20,11 +20,8 @@ from typing import Iterable, Iterator, Optional
 
 from .cgt import EngineError
 
-DEFAULT_COMPONENT_LIMIT = 12
-
-
 class TooLarge(EngineError):
-    """A graph exceeded the configured canonicalization limit."""
+    """A graph exceeded a canonicalization limit."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class Graph:
             if row >> v & 1:
                 raise ValueError("loops are not allowed")
         for v, row in enumerate(self.adj):
-            for u in _bits(row):
+            for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError("adjacency is not symmetric")
 
@@ -72,13 +69,13 @@ class Graph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.adj[v])
+        return bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
             row = self.adj[v] >> (v + 1)
-            for u in _bits(row):
+            for u in bits(row):
                 out.append((v, v + 1 + u))
         return out
 
@@ -97,7 +94,7 @@ class Graph:
         adj = self.adj
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
+            for v in bits(frontier):
                 nxt |= adj[v]
             frontier = nxt & ~seen
             seen |= nxt
@@ -128,7 +125,7 @@ class Graph:
         rows = []
         for u in vertices:
             row = 0
-            for w in _bits(self.adj[u]):
+            for w in bits(self.adj[u]):
                 i = pos.get(w)
                 if i is not None:
                     row |= 1 << i
@@ -136,22 +133,14 @@ class Graph:
         return _unchecked(len(vertices), tuple(rows))
 
     def components(self) -> list["Graph"]:
-        """Connected components as separate graphs, vertices in original order.
-
-        The returned list is cached and shared; treat it as read-only.
-        """
-        key = (self.n, self.adj)
-        hit = _component_cache.get(key)
-        if hit is not None:
-            return hit
+        """Connected components as separate graphs, vertices in original order."""
         out = []
         rem = full = (1 << self.n) - 1
         while rem:
             seed = (rem & -rem).bit_length() - 1
             mask = self._component_mask(seed) & rem
-            out.append(self if mask == full else self.induced(list(_bits(mask))))
+            out.append(self if mask == full else self.induced(list(bits(mask))))
             rem &= ~mask
-        _component_cache[key] = out
         return out
 
     def disjoint_union(self, other: "Graph") -> "Graph":
@@ -168,7 +157,8 @@ class Graph:
         return Graph(self.n + 1, tuple(rows))
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -183,47 +173,38 @@ def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
-_component_cache: dict[tuple[int, tuple[int, ...]], list[Graph]] = {}
-
-
 # ----------------------------------------------------------------------
 # canonical form
 # ----------------------------------------------------------------------
 
 _BYTE_LIMIT = 255  # n and each vertex of an automorphism take one byte
-# (n, adj) -> (canonical bytes, automorphisms found while labeling)
-_canon_cache: dict[tuple[int, tuple[int, ...]], tuple[bytes, tuple[bytes, ...]]] = {}
 
 
-def canonical_form(g: Graph, max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant encoding of g.
 
     Two graphs yield equal bytes exactly when they are isomorphic: n, then
     the canonically ordered upper triangle as one big-endian integer (for
     j = 1..n-1, the edges from j to 0..j-1, vertex 0 most significant).
-    Raises TooLarge when g has more than max_vertices vertices, or more
-    than 255 whatever max_vertices is.
+    Raises TooLarge above 255 vertices.
     """
-    return _labeling(g, min(max_vertices, _BYTE_LIMIT))[0]
+    return labeling(g)[0]
 
 
 def automorphisms(g: Graph) -> tuple[bytes, ...]:
     """Automorphisms of g that its canonical labeling found; map a sends v
     to a[v].  They generate a subgroup of Aut(g), whose orbits may split
     true orbits but never join two.  Raises TooLarge above 255 vertices."""
-    return _labeling(g, _BYTE_LIMIT)[1]
+    return labeling(g)[1]
 
 
-def _labeling(g: Graph, limit: int) -> tuple[bytes, tuple[bytes, ...]]:
-    if g.n > limit:
+def labeling(g: Graph) -> tuple[bytes, tuple[bytes, ...]]:
+    """canonical_form(g) and automorphisms(g) from one search."""
+    if g.n > _BYTE_LIMIT:
         raise TooLarge(
-            f"graph has {g.n} vertices, above the canonicalization limit {limit}"
+            f"graph has {g.n} vertices, above the canonicalization limit {_BYTE_LIMIT}"
         )
-    key = (g.n, g.adj)
-    hit = _canon_cache.get(key)
-    if hit is None:
-        hit = _canon_cache[key] = _canonical_bytes(g.n, g.adj)
-    return hit
+    return _canonical_bytes(g.n, g.adj)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -328,7 +309,7 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, 
         explored: list[int] = []
         fixing: list[bytes] = []
         known = 0
-        for v in _bits(target):
+        for v in bits(target):
             if explored:
                 if known != len(autos):
                     known = len(autos)
@@ -368,6 +349,6 @@ def connected_graphs(max_vertices: int) -> dict[int, list[Graph]]:
         for g in reps[k - 1]:
             for mask in range(1, 1 << (k - 1)):
                 h = g.add_vertex(mask)
-                seen.setdefault(canonical_form(h, max_vertices), h)
+                seen.setdefault(canonical_form(h), h)
         reps[k] = list(seen.values())
     return reps

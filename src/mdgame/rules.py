@@ -15,7 +15,10 @@ Values are computed per connected component, keyed by an
 isomorphism-invariant ComponentKey (variant tag + canonical form), and
 combined by disjunctive sum.  Moves in one automorphism orbit give
 isomorphic results, so a component's options come from one legal move per
-orbit under the automorphisms its canonical labeling found.  A separate
+orbit under the automorphisms its canonical labeling found.  The engine
+owns everything it remembers (component lists, labelings, values), all
+under the store's memo cap, and it alone enforces the component size
+limit, once per component; graphs keeps no state.  A separate
 brute-force referee (Oracle) replays whole labeled graphs by alternating
 minimax without touching game values or canonical forms; it exists to
 cross-check the engine.
@@ -33,12 +36,9 @@ from typing import Iterator, Optional
 
 from .cgt import GameId, GameStore, Outcome
 from .atomic import AtomicCalculator
-from .graphs import (
-    DEFAULT_COMPONENT_LIMIT,
-    Graph,
-    automorphisms,
-    canonical_form,
-)
+from .graphs import Graph, TooLarge, bits, canonical_form, labeling
+
+DEFAULT_COMPONENT_LIMIT = 12
 
 
 class Player(Enum):
@@ -63,10 +63,9 @@ _VARIANT_TAGS = {
 }
 
 
-def canonical_key(component: Graph, variant: Variant,
-                  max_vertices: int = DEFAULT_COMPONENT_LIMIT) -> bytes:
+def canonical_key(component: Graph, variant: Variant) -> bytes:
     """Isomorphism- and variant-aware memo key for a connected component."""
-    return variant.tag + canonical_form(component, max_vertices)
+    return variant.tag + canonical_form(component)
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +85,7 @@ def _right_moves(c: Graph, leaves: int) -> Iterator[tuple[int, int]]:
     """Edges Right may delete from c: those with no leaf end."""
     for v, row in enumerate(c.adj):
         if not leaves >> v & 1:
-            for u in _mask_bits(row >> (v + 1) << (v + 1) & ~leaves):
+            for u in bits(row >> (v + 1) << (v + 1) & ~leaves):
                 yield v, u
 
 
@@ -114,13 +113,14 @@ def _orbit_firsts(moves: list, autos: tuple[bytes, ...], image) -> list:
     return firsts
 
 
-def variant_moves(c: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...]:
+def variant_moves(c: Graph, mover: Player, variant: Variant,
+                  autos: tuple[bytes, ...]) -> tuple[Graph, ...]:
     """One result per orbit of mover's legal moves on a connected component.
 
-    Orbits are of vertices for Left and of edges for Right, under the
-    automorphisms c's canonical labeling found (labeling c if needed, so
-    above 255 vertices this raises TooLarge).  Isomorphic results of
-    different orbits are not merged: equal options collapse in make_game.
+    Orbits are of vertices for Left and of edges for Right, under autos,
+    automorphisms of c such as those its canonical labeling found; with
+    autos empty every legal move gives its own result.  Isomorphic results
+    of different orbits are not merged: equal options collapse in make_game.
     """
     leaves = sum(1 << v for v, row in enumerate(c.adj) if row and not row & (row - 1))
     if variant is Variant.MUTUAL_FAILURES and (
@@ -131,11 +131,11 @@ def variant_moves(c: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...
     if mover is Player.LEFT:
         vertices = list(_left_moves(c, leaves, variant is Variant.FORBIDDEN_LEAF))
         if len(vertices) > 1:
-            vertices = _orbit_firsts(vertices, automorphisms(c), operator.getitem)
+            vertices = _orbit_firsts(vertices, autos, operator.getitem)
         return tuple(c.delete_vertex(v) for v in vertices)
     edges = list(_right_moves(c, leaves))
     if len(edges) > 1:
-        edges = _orbit_firsts(edges, automorphisms(c), _edge_image)
+        edges = _orbit_firsts(edges, autos, _edge_image)
     return tuple(c.delete_edge(u, v) for u, v in edges)
 
 
@@ -153,6 +153,10 @@ class GraphGameEngine:
     def __init__(self, store: GameStore, max_component: int = DEFAULT_COMPONENT_LIMIT):
         self.store = store
         self.max_component = max_component
+        # labeled adjacency rows -> the graph's components, and -> the
+        # component's (canonical form, automorphisms)
+        self._components: dict[tuple[int, ...], list[Graph]] = {}
+        self._labels: dict[tuple[int, ...], tuple[bytes, tuple[bytes, ...]]] = {}
         self._values: dict[bytes, GameId] = {}
         # loaded cache entries stay raw until first use: each disk game's
         # option indices, its store handle once built, and key -> disk index
@@ -162,15 +166,26 @@ class GraphGameEngine:
 
     def game_of(self, g: Graph, variant: Variant) -> GameId:
         """Canonical value of a position: sum of its component values."""
+        comps = self._components.get(g.adj)
+        if comps is None:
+            comps = self.store._memo_put(self._components, g.adj, g.components())
         total = self.store.zero
-        for comp in g.components():
+        for comp in comps:
             total = self.store.add(total, self.component_value(comp, variant))
         return total
 
     def component_value(self, comp: Graph, variant: Variant) -> GameId:
+        """Value of a connected graph; TooLarge above max_component vertices."""
         if comp.n == 1:
             return self.store.zero
-        key = canonical_key(comp, variant, self.max_component)
+        if comp.n > self.max_component:
+            raise TooLarge(f"graph has {comp.n} vertices, above the "
+                           f"canonicalization limit {self.max_component}")
+        label = self._labels.get(comp.adj)
+        if label is None:
+            label = self.store._memo_put(self._labels, comp.adj, labeling(comp))
+        form, autos = label
+        key = variant.tag + form
         hit = self._values.get(key)
         if hit is not None:
             return hit
@@ -178,8 +193,10 @@ class GraphGameEngine:
         if loaded is not None:
             value = self._materialize(loaded)
         else:
-            lefts = [self.game_of(r, variant) for r in variant_moves(comp, Player.LEFT, variant)]
-            rights = [self.game_of(r, variant) for r in variant_moves(comp, Player.RIGHT, variant)]
+            lefts = [self.game_of(r, variant)
+                     for r in variant_moves(comp, Player.LEFT, variant, autos)]
+            rights = [self.game_of(r, variant)
+                      for r in variant_moves(comp, Player.RIGHT, variant, autos)]
             value = self.store.make_game(lefts, rights)
         self.store._memo_put(self._values, key, value)
         self._pending.pop(key, None)
@@ -370,12 +387,12 @@ class Oracle:
                     continue
                 if variant is Variant.FORBIDDEN_LEAF and deg[v] == 1:
                     continue
-                if any(deg[u] == 1 for u in _mask_bits(rows[v])):
+                if any(deg[u] == 1 for u in bits(rows[v])):
                     continue
                 if variant is Variant.MUTUAL_FAILURES and not self._mf_open(rows, deg, v):
                     continue
                 new_rows = list(rows)
-                for u in _mask_bits(rows[v]):
+                for u in bits(rows[v]):
                     new_rows[u] &= ~(1 << v)
                 new_rows[v] = 0
                 yield tuple(new_rows), alive & ~(1 << v)
@@ -383,7 +400,7 @@ class Oracle:
             for v in range(n):
                 if not alive >> v & 1:
                     continue
-                for u in _mask_bits(rows[v] >> (v + 1)):
+                for u in bits(rows[v] >> (v + 1)):
                     u += v + 1
                     if deg[v] < 2 or deg[u] < 2:
                         continue
@@ -400,31 +417,24 @@ class Oracle:
         frontier = comp
         while frontier:
             nxt = 0
-            for v in _mask_bits(frontier):
+            for v in bits(frontier):
                 nxt |= rows[v]
             frontier = nxt & ~comp
             comp |= nxt
         has_left = False
         has_right = False
-        for v in _mask_bits(comp):
+        for v in bits(comp):
             if deg[v] == 0:
                 continue
-            if not has_left and not any(deg[u] == 1 for u in _mask_bits(rows[v])):
+            if not has_left and not any(deg[u] == 1 for u in bits(rows[v])):
                 has_left = True
             if not has_right and deg[v] >= 2 and any(
-                deg[u] >= 2 for u in _mask_bits(rows[v])
+                deg[u] >= 2 for u in bits(rows[v])
             ):
                 has_right = True
             if has_left and has_right:
                 return True
         return False
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ----------------------------------------------------------------------

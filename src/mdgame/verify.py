@@ -114,7 +114,7 @@ FAMILY_SIZES: dict[FamilyKind, FamilySizes] = {
 
 
 class EmptyRange(ValueError):
-    """A winners range holds no size of its family."""
+    """A size range of a suite holds no instance to check."""
 
 
 def _sizes(family: FamilyKind, lo: int, hi: int) -> range:
@@ -299,15 +299,16 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     t0 = time.perf_counter()
     report = CheckReport(name="bias-props", scope=f"connected graphs, n<={max_vertices}")
     reps = connected_graphs(max_vertices)
+    # only whether a move exists matters, so no automorphisms are needed
     for n in sorted(reps):
         classic_bad = []
         fl_bad = []
         for g in reps[n]:
-            right_ok = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC))
-            left_ok = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC))
+            right_ok = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC, ()))
+            left_ok = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC, ()))
             if right_ok and not left_ok:
                 classic_bad.append(g)
-            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF))
+            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF, ()))
             if fl_left and not right_ok:
                 fl_bad.append(g)
         ok = not classic_bad and not fl_bad
@@ -339,7 +340,8 @@ FARSTAR_MAX_N = 12
 class VerifyConfig:
     """What run_all checks.  max_n bounds table-aw, path-signs and farstar
     alike (None: each suite's default); winners bounds left None come from
-    FAMILY_SIZES.  An empty winners range raises EmptyRange on creation."""
+    FAMILY_SIZES.  An empty winners range, a max_n below 2 or a
+    bias_max_vertices below 1 raises EmptyRange on creation."""
 
     suites: tuple[str, ...] = SUITE_NAMES
     max_n: Optional[int] = None
@@ -350,6 +352,11 @@ class VerifyConfig:
     winners_to: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.max_n is not None and self.max_n < 2:
+            raise EmptyRange(f"no size in n=2..{self.max_n} (the smallest is 2)")
+        if self.bias_max_vertices < 1:
+            raise EmptyRange(f"no connected graph in n<={self.bias_max_vertices} "
+                             "(the smallest has 1 vertex)")
         self.winner_runs()
 
     def winner_runs(self) -> list[tuple[Variant, FamilyKind, int, int]]:

@@ -136,12 +136,12 @@ def test_07_move_availability_bias(actx):
     reps = connected_graphs(7)
     for n in sorted(reps):
         for g in reps[n]:
-            classic_left = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC))
-            classic_right = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC))
+            classic_left = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC, ()))
+            classic_right = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC, ()))
             if classic_right and not classic_left:
                 bad.append(f"classic: Right-movable, Left-stuck on {n} vertices")
-            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF))
-            fl_right = bool(variant_moves(g, Player.RIGHT, Variant.FORBIDDEN_LEAF))
+            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF, ()))
+            fl_right = bool(variant_moves(g, Player.RIGHT, Variant.FORBIDDEN_LEAF, ()))
             if fl_left and not fl_right:
                 bad.append(f"fl: Left-movable, Right-stuck on {n} vertices")
     _finish("move bias over all connected graphs, n<=7", t0, 120.0, bad)

@@ -232,6 +232,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {problem}\n"
 
+    @pytest.mark.parametrize("args, problem", [
+        (["--suite", "table-aw", "--suite", "farstar", "--max-n", "1"],
+         "no size in n=2..1 (the smallest is 2)"),
+        (["--suite", "path-signs", "--max-n", "-4"],
+         "no size in n=2..-4 (the smallest is 2)"),
+        (["--suite", "bias", "--max-vertices", "0"],
+         "no connected graph in n<=0 (the smallest has 1 vertex)"),
+    ])
+    def test_empty_size_ceiling(self, args, problem, monkeypatch, capsys):
+        # rejected before any suite runs, like an empty winners range
+        def no_work(**kwargs):
+            raise AssertionError("computed before checking the size ceiling")
+
+        monkeypatch.setattr("mdgame.cli.make_context", no_work)
+        assert main(["verify"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {problem}\n"
+
     @pytest.mark.parametrize("args", [
         ["value", "path 4", "--cache"],
         ["verify", "--suite", "table-aw", "--report"],

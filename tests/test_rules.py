@@ -1,5 +1,6 @@
 """Move generation, the component-value engine, the referee, and the cache."""
 
+import functools
 import itertools
 import random
 import struct
@@ -7,9 +8,11 @@ import zlib
 
 import pytest
 
-from mdgame import Graph, MemoCapExceeded, Outcome, canonical_form, connected_graphs
+from mdgame import (Graph, MemoCapExceeded, Outcome, TooLarge, canonical_form,
+                    connected_graphs)
 from mdgame.cli import _value_payload
 from mdgame.families import biclique, complete, cycle, path, star, wheel
+from mdgame.graphs import automorphisms
 from mdgame.rules import (
     GraphGameEngine,
     Player,
@@ -56,59 +59,65 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 # move generation
 # ----------------------------------------------------------------------
 
+def orbit_moves(g: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...]:
+    """variant_moves pruned by the automorphisms g's labeling finds, as the
+    engine calls it."""
+    return variant_moves(g, mover, variant, automorphisms(g))
+
+
 class TestBaseMoves:
     def test_p2_is_dead_for_both(self):
         g = path(2)
-        assert variant_moves(g, Player.LEFT, Variant.CLASSIC) == ()
-        assert variant_moves(g, Player.RIGHT, Variant.CLASSIC) == ()
+        assert orbit_moves(g, Player.LEFT, Variant.CLASSIC) == ()
+        assert orbit_moves(g, Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_p3_left_end_deletions_collapse(self):
         # one result per orbit of legal moves: the two ends are one orbit
-        assert variant_moves(path(3), Player.LEFT, Variant.CLASSIC) == (path(2),)
+        assert orbit_moves(path(3), Player.LEFT, Variant.CLASSIC) == (path(2),)
 
     def test_p3_right_cannot_strand_a_leaf(self):
-        assert variant_moves(path(3), Player.RIGHT, Variant.CLASSIC) == ()
+        assert orbit_moves(path(3), Player.RIGHT, Variant.CLASSIC) == ()
 
     def test_k3_moves(self):
         # every vertex and every edge of K3 lies in one orbit
-        assert variant_moves(complete(3), Player.LEFT, Variant.CLASSIC) == (complete(2),)
-        right = variant_moves(complete(3), Player.RIGHT, Variant.CLASSIC)
+        assert orbit_moves(complete(3), Player.LEFT, Variant.CLASSIC) == (complete(2),)
+        right = orbit_moves(complete(3), Player.RIGHT, Variant.CLASSIC)
         assert len(right) == 1
         assert right[0].edge_count == 2
 
     def test_left_never_isolates_a_neighbor(self):
         # the middle of P3 has two leaf neighbors, so it is frozen
-        results = variant_moves(path(3), Player.LEFT, Variant.CLASSIC)
+        results = orbit_moves(path(3), Player.LEFT, Variant.CLASSIC)
         assert all(r.edge_count == 0 or min(
             r.degree(v) for v in range(r.n)) >= 1 for r in results)
 
 
 class TestVariantMoves:
     def test_fl_removes_leaf_deletions(self):
-        assert variant_moves(path(4), Player.LEFT, Variant.CLASSIC) != ()
-        assert variant_moves(path(4), Player.LEFT, Variant.FORBIDDEN_LEAF) == ()
+        assert orbit_moves(path(4), Player.LEFT, Variant.CLASSIC) != ()
+        assert orbit_moves(path(4), Player.LEFT, Variant.FORBIDDEN_LEAF) == ()
 
     def test_fl_right_unchanged(self):
-        classic = variant_moves(path(4), Player.RIGHT, Variant.CLASSIC)
-        fl = variant_moves(path(4), Player.RIGHT, Variant.FORBIDDEN_LEAF)
+        classic = orbit_moves(path(4), Player.RIGHT, Variant.CLASSIC)
+        fl = orbit_moves(path(4), Player.RIGHT, Variant.FORBIDDEN_LEAF)
         assert classic == fl
 
     def test_mf_closes_component_when_right_is_out(self):
         # P3: Left could move classically, Right never could
         for mover in Player:
-            assert variant_moves(path(3), mover, Variant.MUTUAL_FAILURES) == ()
+            assert orbit_moves(path(3), mover, Variant.MUTUAL_FAILURES) == ()
 
     def test_mf_open_component_keeps_base_moves(self):
         for mover in Player:
-            mf = variant_moves(path(4), mover, Variant.MUTUAL_FAILURES)
-            base = variant_moves(path(4), mover, Variant.CLASSIC)
+            mf = orbit_moves(path(4), mover, Variant.MUTUAL_FAILURES)
+            base = orbit_moves(path(4), mover, Variant.CLASSIC)
             assert mf == base
 
     def test_results_never_contain_isolated_vertices(self):
         for g in connected_graphs(6)[6]:
             for variant in ALL_VARIANTS:
                 for mover in Player:
-                    for r in variant_moves(g, mover, variant):
+                    for r in orbit_moves(g, mover, variant):
                         assert all(r.degree(v) >= 1 for v in range(r.n))
 
 
@@ -137,8 +146,8 @@ def legal_moves(g: Graph, mover: Player, variant: Variant) -> list:
 
 class TestOrbitMoves:
     def counts(self, g: Graph, variant: Variant) -> tuple[int, int]:
-        return (len(variant_moves(g, Player.LEFT, variant)),
-                len(variant_moves(g, Player.RIGHT, variant)))
+        return (len(orbit_moves(g, Player.LEFT, variant)),
+                len(orbit_moves(g, Player.RIGHT, variant)))
 
     def test_one_move_per_orbit_on_families(self):
         for variant in ALL_VARIANTS:
@@ -149,20 +158,23 @@ class TestOrbitMoves:
                 assert self.counts(complete(n), variant) == (1, 1)
         assert self.counts(biclique(2, 3), Variant.CLASSIC) == (2, 1)
         # the ends, the two vertices next but one to an end, and the middle
-        assert len(variant_moves(path(7), Player.LEFT, Variant.CLASSIC)) == 3
+        assert len(orbit_moves(path(7), Player.LEFT, Variant.CLASSIC)) == 3
 
     def test_orbit_results_match_every_legal_move(self):
         # the same isomorphism classes of results as making every legal move
         kept = total = 0
+        form = functools.cache(canonical_form)  # results recur across variants
         for graphs in connected_graphs(7).values():
             for g in graphs:
+                autos = automorphisms(g)
                 for variant in ALL_VARIANTS:
                     for mover in Player:
-                        results = variant_moves(g, mover, variant)
+                        results = variant_moves(g, mover, variant, autos)
                         every = [g.delete_vertex(m) if mover is Player.LEFT
                                  else g.delete_edge(*m) for m in legal_moves(g, mover, variant)]
-                        assert ({canonical_form(r) for r in results}
-                                == {canonical_form(r) for r in every})
+                        assert {form(r) for r in results} == {form(r) for r in every}
+                        # with no automorphisms to prune by, one result per legal move
+                        assert variant_moves(g, mover, variant, ()) == tuple(every)
                         kept += len(results)
                         total += len(every)
         assert kept < total
@@ -252,6 +264,10 @@ class TestEngineValues:
         for variant in ALL_VARIANTS:
             assert eng.game_of(padded, variant) == eng.game_of(path(5), variant)
 
+    def test_too_large_guard(self):
+        with pytest.raises(TooLarge):
+            make_context(max_component=12).engine.game_of(path(13), Variant.CLASSIC)
+
     def test_mf_values_are_all_small(self, ctx):
         st = ctx.store
         for n, graphs in connected_graphs(6).items():
@@ -311,6 +327,45 @@ class TestRelabelingInvariance:
                 vb = b.engine.game_of(h, variant)
                 assert transplant(a.store, b.store, va, {}) == vb
                 assert a.store.outcome(va) is a.oracle.outcome(h, variant)
+
+
+class TestOwnedState:
+    def test_each_context_starts_cold(self):
+        # component lists and labelings belong to one context: a new one
+        # starts empty and recomputes the same answers
+        wheels = [wheel(n) for n in range(3, 9)]
+        warm = make_context()
+        first = {(g, v): warm.engine.game_of(g, v) for v in ALL_VARIANTS for g in wheels}
+        assert warm.engine._labels and warm.engine._components
+        cold = make_context()
+        assert not cold.engine._labels and not cold.engine._components
+        again = {key: cold.engine.game_of(*key) for key in first}
+        memo: dict = {}
+        for key, value in first.items():
+            assert transplant(warm.store, cold.store, value, memo) == again[key]
+            assert warm.store.outcome(value) is cold.store.outcome(again[key])
+
+    @pytest.mark.parametrize("full", ["_components", "_labels"])
+    def test_memo_cap_bounds_the_graph_tables(self, full):
+        cap = 20
+        if full == "_components":
+            # every option of a wheel is a position of its own
+            positions = [wheel(n) for n in range(3, 9)]
+        else:
+            # one position of 42 differently labeled stars, all closed in mf
+            stars = Graph.empty(0)
+            for k in range(2, 9):
+                for center in range(k + 1):
+                    stars = stars.disjoint_union(Graph.from_edges(
+                        k + 1, [(center, v) for v in range(k + 1) if v != center]))
+            positions = [stars]
+        capped = make_context(memo_cap=cap)
+        with pytest.raises(MemoCapExceeded):
+            for g in positions:
+                capped.engine.game_of(g, Variant.MUTUAL_FAILURES)
+        engine = capped.engine
+        assert len(getattr(engine, full)) == cap
+        assert len(engine._labels) <= cap and len(engine._components) <= cap
 
 
 class TestHistoryIndependentText:
