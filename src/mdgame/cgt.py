@@ -23,12 +23,22 @@ values, and canonical forms are unique.  A game keeps the first multiset
 found for it, and one that contains the sum itself (x + * + * = x) is never
 recorded, so multisets stay finite.
 
+The comparison memo, the largest table, is stored as one row per game:
+``_leq[a]`` maps b to whether a <= b, so a lookup builds no key tuple and
+hashes one int.  The rows form a list parallel to ``_left`` and
+``_right``; ``_intern`` appends a game's empty row under the same lock
+that allocates its handle, before publishing the handle in ``_index``, so
+every handle a caller can hold has its row.  Under ``memo_cap`` the rows
+count as one table: their total number of entries is bounded.
+
 Concurrency contract: reads of interned games are lock-free; handle
 allocation goes through a single lock, and memo inserts are idempotent
 single dict writes (atomic under CPython), so concurrent evaluation is
-safe.  A game's recorded decompositions are replaced by a new dict, never
-changed in place, because leq iterates them unlocked; two threads racing
-on one game may drop a decomposition, which costs speed, not correctness.
+safe.  That holds for the comparison rows too: a new pair draws a ticket
+from an atomic counter, then is written with one dict write.  A game's
+recorded decompositions are replaced by a new dict, never changed in
+place, because leq iterates them unlocked; two threads racing on one game
+may drop a decomposition, which costs speed, not correctness.
 Two threads racing to record a game's multiset of summands may each write
 one; either is a true decomposition, so later sums stay exact and at worst
 miss the multiset memo.
@@ -38,6 +48,7 @@ raises MemoCapExceeded rather than evicting entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -48,6 +59,7 @@ from typing import Iterable, Optional
 GameId = int
 
 _CANON_ITER_LIMIT = 100_000
+_TEXT_LIMIT = 10_000_000  # characters in one rendered value
 
 
 class EngineError(Exception):
@@ -56,6 +68,10 @@ class EngineError(Exception):
 
 class MemoCapExceeded(EngineError):
     """A memo table reached its configured entry cap."""
+
+
+class TextTooLong(EngineError):
+    """A value's brace text would be longer than the rendering limit."""
 
 
 class Outcome(Enum):
@@ -157,7 +173,8 @@ class GameStore:
         self._left: list[tuple[GameId, ...]] = []
         self._right: list[tuple[GameId, ...]] = []
         self._index: dict[tuple, GameId] = {}
-        self._leq: dict[tuple[GameId, GameId], bool] = {}
+        self._leq: list[dict[GameId, bool]] = []  # _leq[a][b] is a <= b
+        self._leq_tickets = itertools.count()  # see _leq_put
         self._add: dict[tuple[GameId, GameId], GameId] = {}
         self._summands: dict[GameId, tuple[GameId, ...]] = {}
         self._sums: dict[tuple[GameId, ...], GameId] = {}
@@ -172,6 +189,7 @@ class GameStore:
         self._all_small: dict[GameId, bool] = {}
         self._birthday: dict[GameId, int] = {}
         self._names: dict[GameId, ValueName] = {}
+        self._text_lengths: dict[GameId, int] = {}
 
         self.zero = self._intern((), ())
         self.star = self._intern((self.zero,), (self.zero,))
@@ -196,6 +214,7 @@ class GameStore:
                 gid = len(self._left)
                 self._left.append(left)
                 self._right.append(right)
+                self._leq.append({})
                 self._index[key] = gid
             return gid
 
@@ -204,6 +223,19 @@ class GameStore:
         if cap is not None and len(table) >= cap and key not in table:
             raise MemoCapExceeded(f"memo table cap of {cap} entries exceeded")
         table[key] = value
+        return value
+
+    def _leq_put(self, row: dict, b: GameId, value: bool) -> bool:
+        # The rows together are one table under memo_cap.  Each new pair
+        # draws a ticket from an atomic counter before it is written, so the
+        # rows never hold more than memo_cap entries; threads racing on one
+        # pair may draw two tickets, which can only trip the cap early.
+        if b not in row:
+            ticket = next(self._leq_tickets)
+            cap = self.memo_cap
+            if cap is not None and ticket >= cap:
+                raise MemoCapExceeded(f"memo table cap of {cap} entries exceeded")
+            row[b] = value
         return value
 
     def __len__(self) -> int:
@@ -223,9 +255,8 @@ class GameStore:
         """Partial-order test a <= b."""
         if a == b:
             return True
-        key = (a, b)
-        memo = self._leq
-        hit = memo.get(key)
+        row = self._leq[a]
+        hit = row.get(b)
         if hit is not None:
             return hit
         pa = self._parts.get(a)
@@ -235,7 +266,7 @@ class GameStore:
                 for x, y in pa.items():
                     z = pb.get(x)
                     if z is not None:
-                        return self._memo_put(memo, key, self.leq(y, z))
+                        return self._leq_put(row, b, self.leq(y, z))
         result = True
         for al in self._left[a]:
             if self.leq(b, al):
@@ -246,7 +277,7 @@ class GameStore:
                 if self.leq(br, a):
                     result = False
                     break
-        return self._memo_put(memo, key, result)
+        return self._leq_put(row, b, result)
 
     def compare(self, a: GameId, b: GameId) -> Comparison:
         if a == b:
@@ -580,10 +611,11 @@ class GameStore:
         hit = self._names.get(g)
         if hit is not None:
             return hit
-        name = self._compute_name(g)
+        name = self._short_name(g) or ValueName("other", text=self._render_braces(g))
         return self._memo_put(self._names, g, name)
 
-    def _compute_name(self, g: GameId) -> ValueName:
+    def _short_name(self, g: GameId) -> Optional[ValueName]:
+        """g's name as a number, nimber or up multiple, or None."""
         fr = self.number_value(g)
         if fr is not None and self.number_game(fr) == g:
             d = DyadicRational.from_fraction(fr)
@@ -596,7 +628,7 @@ class GameStore:
             return ValueName(
                 "ups", text=_ups_text(um[0], um[1]), up_count=um[0], plus_star=um[1]
             )
-        return ValueName("other", text=self._render_braces(g))
+        return None
 
     def render(self, g: GameId) -> str:
         return self.name_value(g).text
@@ -613,6 +645,26 @@ class GameStore:
 
         return tuple(sorted(self._left[g], key=key)), tuple(sorted(self._right[g], key=key))
 
+    def _text_length(self, g: GameId) -> int:
+        """len(self.render(g)), found without building any text."""
+        hit = self._text_lengths.get(g)
+        if hit is None:
+            name = self._names.get(g) or self._short_name(g)
+            hit = len(name.text) if name is not None else self._braces_length(g)
+            self._memo_put(self._text_lengths, g, hit)
+        return hit
+
+    def _braces_length(self, g: GameId) -> int:
+        left, right = self._left[g], self._right[g]
+        commas = max(len(left) - 1, 0) + max(len(right) - 1, 0)
+        return 3 + commas + sum(map(self._text_length, left + right))
+
     def _render_braces(self, g: GameId) -> str:
+        # the text spells the shared option DAG out as a tree, so its length
+        # can grow exponentially with the depth: check it before building it
+        length = self._braces_length(g)
+        if length > _TEXT_LIMIT:
+            raise TextTooLong(f"the value's text would be {length:,} characters, "
+                              f"above the limit of {_TEXT_LIMIT:,}")
         left, right = self.display_options(g)
         return "{%s|%s}" % (",".join(map(self.render, left)), ",".join(map(self.render, right)))

@@ -15,7 +15,8 @@ edge list from stdin.
 Exit codes: 0 success, 1 verification failure, 2 unusable input (graph
 text, option value, an empty winners range, or an output path that is a
 directory or lies in a missing one),
-3 resource limit (graph too large, memo cap, unstable remote star),
+3 resource limit (graph too large, memo cap, unstable remote star, value
+text too long to print),
 4 precondition violation (e.g. atomic weight of a non-all-small game).
 """
 
@@ -27,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-from .cgt import GameId, MemoCapExceeded, Outcome
+from .cgt import GameId, MemoCapExceeded, Outcome, TextTooLong
 from .atomic import NotAllSmall, NotInteger, RemoteStarUnstable
 from .families import BadParams, FamilyKind, FamilySpec, build
 from .graphs import Graph, TooLarge
@@ -350,7 +351,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, EmptyRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TooLarge, MemoCapExceeded, RemoteStarUnstable) as exc:
+    except (TooLarge, MemoCapExceeded, RemoteStarUnstable, TextTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotAllSmall, NotInteger, BadParams) as exc:

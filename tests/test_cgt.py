@@ -235,7 +235,7 @@ class TestCancellation:
         for ra, a in games:
             for rb, b in games:
                 pa, pb = st._parts.get(a, {}), st._parts.get(b, {})
-                shared += (a, b) not in st._leq and not pa.keys().isdisjoint(pb)
+                shared += b not in st._leq[a] and not pa.keys().isdisjoint(pb)
                 assert st.leq(a, b) == raw.leq(ra, rb)
         assert shared > 100  # pairs first answered through a shared summand
 
@@ -388,6 +388,15 @@ class TestNames:
         g = st.make_game([st.number_game(2)], [st.star])
         assert st.render(g) == "{2|*}"
 
+    def test_text_lengths_are_known_before_any_text(self):
+        st, _ = summed_store(66)
+        games = range(len(st))  # naming may intern more games; check these
+        lengths = [(st._text_length(g), st._braces_length(g)) for g in games]
+        assert not st._names  # no text was built to find them
+        texts = [(st.render(g), st.canonical_text(g)) for g in games]
+        assert lengths == [(len(a), len(b)) for a, b in texts]
+        assert max(n for n, _ in lengths) > 20  # nested braces, not just names
+
 
 class TestAllSmall:
     def test_examples(self, st):
@@ -458,6 +467,71 @@ def test_memo_cap_bounds_sums():
             total = st.add(total, raw.to_store(st, raw.random_raw(rng, 3)))
     tables = [t for t in vars(st).values() if isinstance(t, dict)]
     assert st._parts and all(len(t) <= cap for t in tables)
+    assert sum(map(len, st._leq)) <= cap  # the comparison rows are one table
+
+
+def test_memo_cap_counts_comparisons_across_rows():
+    cap = 40
+
+    def integers(st):
+        ints = [st.zero]
+        for _ in range(12):
+            ints.append(st._intern((ints[-1],), ()))  # n + 1 = {n|}, no memo entry
+        return ints
+
+    free = GameStore()
+    ints = integers(free)
+    pairs = [(a, b) for a in ints for b in ints]
+    grown = []
+    for a, b in pairs:
+        free.leq(a, b)
+        grown.append(sum(map(len, free._leq)))
+    stop = next(i for i, n in enumerate(grown) if n > cap)
+    st = GameStore(memo_cap=cap)
+    assert integers(st) == ints
+    for a, b in pairs[:stop]:
+        assert st.leq(a, b) == free.leq(a, b)
+    with pytest.raises(MemoCapExceeded):
+        st.leq(*pairs[stop])
+    rows = [len(r) for r in st._leq]
+    assert sum(rows) == cap and max(rows) < cap // 2  # no single row is full
+    for a, b in pairs[:stop]:  # memoized pairs are answered, not counted again
+        assert st.leq(a, b) == free.leq(a, b)
+    for row in st._leq:
+        for b, value in list(row.items()):
+            st._leq_put(row, b, value)  # a pair written again
+    assert sum(map(len, st._leq)) == cap
+
+
+def test_racing_threads_never_overfill_the_comparison_rows():
+    st = GameStore()
+    rng = random.Random(5)
+    games = [raw.to_store(st, raw.random_raw(rng, 3)) for _ in range(80)]
+    st.memo_cap = sum(map(len, st._leq)) + 200  # one sweep would add 467 pairs
+    hits = []
+
+    def run(slot):
+        order = games[slot:] + games[:slot]  # each thread starts elsewhere
+        try:
+            for a in order:
+                for b in order:
+                    st.leq(a, b)
+        except MemoCapExceeded as exc:
+            hits.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(hits) == 6  # every thread ran into the cap
+    assert sum(map(len, st._leq)) <= st.memo_cap
 
 
 def test_threads_summing_and_comparing_agree():

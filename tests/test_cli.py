@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mdgame import canonical_form
+from mdgame import canonical_form, cgt
 from mdgame.cli import (
     ParseError,
     main,
@@ -194,6 +194,24 @@ class TestExitCodes:
 
     def test_memo_cap(self, capsys):
         assert main(["value", "path 12", "--memo-cap", "4"]) == 3
+
+    def test_value_text_too_long(self, monkeypatch, capsys):
+        # the text of the mf path n value grows exponentially with n, so its
+        # length is checked before any of it is built
+        args = ["value", "path 30", "--variant", "mf", "--max-component", "30"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        text = out.splitlines()[2].removeprefix("value: ")
+        assert len(text) > 100_000
+        monkeypatch.setattr(cgt, "_TEXT_LIMIT", len(text))
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
+        monkeypatch.setattr(cgt, "_TEXT_LIMIT", len(text) - 1)
+        for fmt in ("text", "json"):
+            assert main(args + ["--format", fmt]) == 3
+            assert capsys.readouterr() == ("", f"error: the value's text would be "
+                                               f"{len(text):,} characters, above the "
+                                               f"limit of {len(text) - 1:,}\n")
 
     def test_precondition_violation(self, capsys):
         # classic P4 = {1|0} is not all-small, so aw refuses

@@ -643,3 +643,4 @@ class TestCachePersistence:
         assert len(capped.engine._values) <= cap
         tables = [t for t in vars(capped.store).values() if isinstance(t, dict)]
         assert tables and all(len(t) <= cap for t in tables)
+        assert sum(map(len, capped.store._leq)) <= cap  # the comparison rows are one table
