@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from .cgt import EngineError, GameId, GameStore, Comparison, Outcome
 
 _SCAN_LIMIT = 10_000
-
-_T = TypeVar("_T")
 
 
 class NotAllSmall(EngineError):
@@ -68,7 +66,7 @@ def two_ahead_bound(aw: AtomicWeight) -> Optional[Outcome]:
 
 
 class AtomicCalculator:
-    """Atomic-weight and far-star computations over one GameStore."""
+    """Atomic weights and remote-star orders over one GameStore."""
 
     def __init__(self, store: GameStore):
         self.store = store
@@ -81,7 +79,7 @@ class AtomicCalculator:
     # ------------------------------------------------------------------
 
     def surrogate_order(self, g: GameId) -> int:
-        """Order of the *N surrogate used for far-star comparisons against g."""
+        """Order of the *N surrogate used for remote-star comparisons against g."""
         return 2 + self._max_nimber_in(g)
 
     def _max_nimber_in(self, g: GameId) -> int:
@@ -104,17 +102,13 @@ class AtomicCalculator:
         hit = self._order.get(g)
         if hit is not None:
             return hit
-        return st._memo_put(self._order, g, self._stable(self._order_versus_star, g))
-
-    def _stable(self, test: Callable[[GameId, int], _T], g: GameId) -> _T:
-        """test(g, N) at the surrogate order N, required to agree at N + 1."""
         n = self.surrogate_order(g)
-        first, second = test(g, n), test(g, n + 1)
+        first, second = self._order_versus_star(g, n), self._order_versus_star(g, n + 1)
         if first != second:
             raise RemoteStarUnstable(
                 f"comparison with *{n} and *{n + 1} disagreed ({first} vs {second})"
             )
-        return first
+        return st._memo_put(self._order, g, first)
 
     def _order_versus_star(self, g: GameId, order: int) -> StarOrder:
         cmp = self.store.compare(g, self.store.nimber_game(order))
@@ -123,23 +117,6 @@ class AtomicCalculator:
         if cmp is Comparison.LESS:
             return StarOrder.LESS
         return StarOrder.CONFUSED
-
-    def far_star_equivalent(self, g: GameId, h: GameId) -> bool:
-        """Far-star equivalence: down-star < g - h < up-star with remote stars."""
-        st = self.store
-        if not st.is_all_small(g) or not st.is_all_small(h):
-            raise NotAllSmall("far-star equivalence requires all-small games")
-        return self._stable(self._within_far_star, st.sub(g, h))
-
-    def _within_far_star(self, diff: GameId, order: int) -> bool:
-        st = self.store
-        star_n = st.nimber_game(order)
-        lo = st.add(st.down, star_n)
-        hi = st.add(st.up, star_n)
-        return (
-            st.compare(lo, diff) is Comparison.LESS
-            and st.compare(diff, hi) is Comparison.LESS
-        )
 
     # ------------------------------------------------------------------
     # atomic weight

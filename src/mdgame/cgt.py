@@ -5,8 +5,8 @@ sets to integer handles (GameId).  make_game() reduces arbitrary option
 sets to canonical form (dominated options removed, reversible options
 bypassed), so handle equality coincides with game-value equality, and all
 downstream work (ordering, disjunctive sums, negation, outcome
-classification, value naming) runs on interned handles backed by global
-memo tables.
+classification, value naming) runs on interned handles backed by the
+store's memo tables.
 
 Sums feed ordering through cancellation: for short games x + y <= x + z
 exactly when y <= z.  add() records each sum g = a + b whose summands are
@@ -26,31 +26,18 @@ recorded, so multisets stay finite.
 The comparison memo, the largest table, is stored as one row per game:
 ``_leq[a]`` maps b to whether a <= b, so a lookup builds no key tuple and
 hashes one int.  The rows form a list parallel to ``_left`` and
-``_right``; ``_intern`` appends a game's empty row under the same lock
-that allocates its handle, before publishing the handle in ``_index``, so
-every handle a caller can hold has its row.  Under ``memo_cap`` the rows
-count as one table: their total number of entries is bounded.
+``_right``; ``_intern`` appends a game's empty row as it allocates the
+handle.  Under ``memo_cap`` the rows count as one table: their total
+number of entries is bounded.
 
-Concurrency contract: reads of interned games are lock-free; handle
-allocation goes through a single lock, and memo inserts are idempotent
-single dict writes (atomic under CPython), so concurrent evaluation is
-safe.  That holds for the comparison rows too: a new pair draws a ticket
-from an atomic counter, then is written with one dict write.  A game's
-recorded decompositions are replaced by a new dict, never changed in
-place, because leq iterates them unlocked; two threads racing on one game
-may drop a decomposition, which costs speed, not correctness.
-Two threads racing to record a game's multiset of summands may each write
-one; either is a true decomposition, so later sums stay exact and at worst
-miss the multiset memo.
 Memo tables are unbounded unless ``memo_cap`` is set; an overfull table
-raises MemoCapExceeded rather than evicting entries.
+raises MemoCapExceeded rather than evicting entries.  A store, and so
+everything built on it, is not thread-safe: use one per thread.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -169,12 +156,11 @@ class GameStore:
 
     def __init__(self, memo_cap: Optional[int] = None):
         self.memo_cap = memo_cap
-        self._gate = threading.Lock()
         self._left: list[tuple[GameId, ...]] = []
         self._right: list[tuple[GameId, ...]] = []
         self._index: dict[tuple, GameId] = {}
         self._leq: list[dict[GameId, bool]] = []  # _leq[a][b] is a <= b
-        self._leq_tickets = itertools.count()  # see _leq_put
+        self._leq_count = 0  # entries in all rows, see _leq_put
         self._add: dict[tuple[GameId, GameId], GameId] = {}
         self._summands: dict[GameId, tuple[GameId, ...]] = {}
         self._sums: dict[tuple[GameId, ...], GameId] = {}
@@ -206,17 +192,12 @@ class GameStore:
     def _intern(self, left: tuple, right: tuple) -> GameId:
         key = (left, right)
         gid = self._index.get(key)
-        if gid is not None:
-            return gid
-        with self._gate:
-            gid = self._index.get(key)
-            if gid is None:
-                gid = len(self._left)
-                self._left.append(left)
-                self._right.append(right)
-                self._leq.append({})
-                self._index[key] = gid
-            return gid
+        if gid is None:
+            gid = self._index[key] = len(self._left)
+            self._left.append(left)
+            self._right.append(right)
+            self._leq.append({})
+        return gid
 
     def _memo_put(self, table: dict, key, value):
         cap = self.memo_cap
@@ -226,15 +207,11 @@ class GameStore:
         return value
 
     def _leq_put(self, row: dict, b: GameId, value: bool) -> bool:
-        # The rows together are one table under memo_cap.  Each new pair
-        # draws a ticket from an atomic counter before it is written, so the
-        # rows never hold more than memo_cap entries; threads racing on one
-        # pair may draw two tickets, which can only trip the cap early.
-        if b not in row:
-            ticket = next(self._leq_tickets)
+        if b not in row:  # the rows together are one table under memo_cap
             cap = self.memo_cap
-            if cap is not None and ticket >= cap:
+            if cap is not None and self._leq_count >= cap:
                 raise MemoCapExceeded(f"memo table cap of {cap} entries exceeded")
+            self._leq_count += 1
             row[b] = value
         return value
 
@@ -429,10 +406,9 @@ class GameStore:
             self._memo_put(self._sums, summands, g)
         day = self.birthday(g)
         if self.birthday(a) < day and self.birthday(b) < day:  # see the module docstring
-            parts = dict(self._parts.get(g, ()))  # a copy: readers iterate it unlocked
-            parts[a] = b
+            parts = self._parts.get(g) or self._memo_put(self._parts, g, {})
+            parts[a] = b  # in place: leq iterates these dicts but never calls add
             parts[b] = a
-            self._memo_put(self._parts, g, parts)
         return self._memo_put(self._add, key, g)
 
     def negate(self, g: GameId) -> GameId:

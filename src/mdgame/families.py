@@ -7,7 +7,7 @@ from enum import Enum
 from typing import Optional
 
 from .cgt import EngineError
-from .graphs import Graph
+from .graphs import _BYTE_LIMIT, Graph, TooLarge
 
 
 class BadParams(EngineError):
@@ -62,9 +62,14 @@ def build(spec: FamilySpec) -> Graph:
 
     Vertex conventions: paths and cycles are labeled along the walk; wheels
     and stars put the hub at the last index; bicliques list the first part
-    then the second.
+    then the second.  Raises TooLarge above 255 vertices before building
+    anything: each family graph is connected, so it could not be labeled.
     """
     kind, n = spec.kind, spec.a
+    size = n + (spec.b or 0) + (kind in (FamilyKind.WHEEL, FamilyKind.STAR))  # + the hub
+    if size > _BYTE_LIMIT:
+        raise TooLarge(f"{spec} has {size} vertices, above the "
+                       f"canonicalization limit {_BYTE_LIMIT}")
     if kind is FamilyKind.PATH:
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     if kind is FamilyKind.CYCLE:

@@ -68,9 +68,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -82,11 +79,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return self._component_mask(0) == (1 << self.n) - 1
 
     def _component_mask(self, seed: int) -> int:
         seen = 1 << seed
@@ -191,15 +183,13 @@ def canonical_form(g: Graph) -> bytes:
     return labeling(g)[0]
 
 
-def automorphisms(g: Graph) -> tuple[bytes, ...]:
-    """Automorphisms of g that its canonical labeling found; map a sends v
-    to a[v].  They generate a subgroup of Aut(g), whose orbits may split
-    true orbits but never join two.  Raises TooLarge above 255 vertices."""
-    return labeling(g)[1]
-
-
 def labeling(g: Graph) -> tuple[bytes, tuple[bytes, ...]]:
-    """canonical_form(g) and automorphisms(g) from one search."""
+    """canonical_form(g) and the automorphisms of g its search found.
+
+    Map a sends v to a[v].  The maps generate a subgroup of Aut(g), whose
+    orbits may split true orbits but never join two.  Raises TooLarge
+    above 255 vertices.
+    """
     if g.n > _BYTE_LIMIT:
         raise TooLarge(
             f"graph has {g.n} vertices, above the canonicalization limit {_BYTE_LIMIT}"

@@ -1,7 +1,6 @@
-"""Atomic weights, remote-star comparisons, and far-star equivalence."""
+"""Atomic weights and remote-star comparisons."""
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -60,58 +59,6 @@ class TestRemoteStar:
     def test_rejects_non_all_small(self, ctx):
         with pytest.raises(NotAllSmall):
             ctx.atomic.remote_star_order(ctx.store.number_game(1))
-
-
-class TestFarStarEquivalence:
-    def test_reflexive(self, ctx):
-        for n in (4, 5, 6):
-            g = mf_value(ctx, n)
-            assert ctx.atomic.far_star_equivalent(g, g)
-
-    def test_up_and_up_star_equivalent(self, ctx):
-        st = ctx.store
-        assert ctx.atomic.far_star_equivalent(st.up, st.up_star)
-
-    def test_up_not_equivalent_to_zero(self, ctx):
-        st = ctx.store
-        assert not ctx.atomic.far_star_equivalent(st.up, st.zero)
-
-    def test_rejects_non_all_small(self, ctx):
-        st = ctx.store
-        with pytest.raises(NotAllSmall):
-            ctx.atomic.far_star_equivalent(st.number_game(1), st.zero)
-
-    def test_definition_spot_check(self, ctx):
-        """The bounds characterization matches the defining outcome test
-        against every game born by day 2.
-
-        The surrogate star must be remote relative to the whole expression;
-        a fixed *2 would be canceled outright by the context X = *2.
-        """
-        st = ctx.store
-        at = ctx.atomic
-        day1 = [st.zero, st.star, st.number_game(1), st.number_game(-1)]
-        day2 = set()
-        subsets = [list(c) for k in range(len(day1) + 1)
-                   for c in combinations(day1, k)]
-        for lo in subsets:
-            for ro in subsets:
-                day2.add(st.make_game(lo, ro))
-        for n in range(2, 11):
-            g = mf_value(ctx, n)
-            k = ctx.atomic.atomic_weight(g).integer
-            h = st.ups_game(k) if k else st.zero
-            claimed = at.far_star_equivalent(g, h)
-            observed = True
-            for x in day2:
-                gx, hx = st.add(g, x), st.add(h, x)
-                order = max(at.surrogate_order(gx), at.surrogate_order(hx))
-                for big in (order, order + 1):
-                    star_r = st.nimber_game(big)
-                    if st.outcome(st.add(gx, star_r)) is not st.outcome(
-                            st.add(hx, star_r)):
-                        observed = False
-            assert claimed == observed
 
 
 # ----------------------------------------------------------------------

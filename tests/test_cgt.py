@@ -5,7 +5,6 @@ import itertools
 import random
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -214,21 +213,6 @@ class TestCancellation:
                 assert parts[y] == x
                 assert st.birthday(x) < st.birthday(g) and st.birthday(y) < st.birthday(g)
 
-    def test_published_decompositions_are_never_changed(self):
-        # leq iterates these dicts without a lock, so a new decomposition
-        # replaces a game's dict instead of changing it
-        st = GameStore()
-        nimbers = [st.nimber_game(k) for k in range(8)]
-        published = {}
-        for a in nimbers:
-            for b in nimbers:
-                g = st.add(a, b)
-                for old, copy in published.values():
-                    assert old == copy
-                if g in st._parts:
-                    published[g] = (st._parts[g], dict(st._parts[g]))
-        assert any(len(p) > 2 for p in st._parts.values())
-
     def test_every_summed_pair_matches_raw(self):
         st, games = summed_store(65)
         shared = 0
@@ -411,7 +395,7 @@ class TestAllSmall:
 
 
 # ----------------------------------------------------------------------
-# resource limits and concurrency
+# resource limits
 # ----------------------------------------------------------------------
 
 def test_memo_cap_fails_loudly():
@@ -421,30 +405,6 @@ def test_memo_cap_fails_loudly():
         for n in range(10):
             st.number_game(n)
             st.nimber_game(n)
-
-
-def test_concurrent_evaluation_is_consistent():
-    st = GameStore()
-    rng = random.Random(12)
-    trees = [raw.random_raw(rng, 3) for _ in range(40)]
-    results: list[dict] = [dict() for _ in range(4)]
-    errors = []
-
-    def work(slot):
-        try:
-            for i, t in enumerate(trees):
-                g = raw.to_store(st, t)
-                results[slot][i] = (g, st.outcome(st.add(g, g)).value)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert results[0] == results[1] == results[2] == results[3]
 
 
 def test_import_leaves_recursion_limit_alone():
@@ -491,95 +451,18 @@ def test_memo_cap_counts_comparisons_across_rows():
     assert integers(st) == ints
     for a, b in pairs[:stop]:
         assert st.leq(a, b) == free.leq(a, b)
+    assert st._leq_count == sum(map(len, st._leq))  # the count is exact
     with pytest.raises(MemoCapExceeded):
         st.leq(*pairs[stop])
     rows = [len(r) for r in st._leq]
     assert sum(rows) == cap and max(rows) < cap // 2  # no single row is full
+    assert st._leq_count == cap  # the refused pair is not counted
     for a, b in pairs[:stop]:  # memoized pairs are answered, not counted again
         assert st.leq(a, b) == free.leq(a, b)
     for row in st._leq:
         for b, value in list(row.items()):
             st._leq_put(row, b, value)  # a pair written again
-    assert sum(map(len, st._leq)) == cap
-
-
-def test_racing_threads_never_overfill_the_comparison_rows():
-    st = GameStore()
-    rng = random.Random(5)
-    games = [raw.to_store(st, raw.random_raw(rng, 3)) for _ in range(80)]
-    st.memo_cap = sum(map(len, st._leq)) + 200  # one sweep would add 467 pairs
-    hits = []
-
-    def run(slot):
-        order = games[slot:] + games[:slot]  # each thread starts elsewhere
-        try:
-            for a in order:
-                for b in order:
-                    st.leq(a, b)
-        except MemoCapExceeded as exc:
-            hits.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(hits) == 6  # every thread ran into the cap
-    assert sum(map(len, st._leq)) <= st.memo_cap
-
-
-def test_threads_summing_and_comparing_agree():
-    def work(st, out, start):
-        one, half = st.number_game(1), st.number_game("1/2")
-        games = [st.up, st.ups_game(2, True), st.nimber_game(2), half,
-                 st.make_game([one], [st.zero]), st.make_game([st.up], [st.star]),
-                 st.make_game([st.nimber_game(2)], [st.down]),
-                 st.make_game([half, st.star], [st.ups_game(-1, True)])]
-        n = len(games)
-        for i in range(start, start + n):  # each thread starts elsewhere
-            a = games[i % n]
-            for j, b in enumerate(games):
-                ab = st.add(a, b)
-                for k, c in enumerate(games):
-                    abc = st.add(ab, c)
-                    out[i % n, j, k] = (st.render(abc), st.leq(st.add(a, c), abc),
-                                        st.leq(abc, st.add(b, st.add(c, c))))
-        for i in range(start, start + n):  # one summand repeats
-            trio = [games[i % n], games[(i + 1) % n], games[i % n]]
-            out["orders", i % n] = {st.render(g) for g in every_order_and_grouping(st, trio)}
-
-    expected: dict = {}
-    work(GameStore(), expected, 0)
-    assert all(len(v) == 1 for key, v in expected.items() if key[0] == "orders")
-    shared = GameStore()
-    results: list[dict] = [{} for _ in range(8)]
-    errors = []
-
-    def run(slot):
-        try:
-            work(shared, results[slot], slot)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert all(r == expected for r in results)
+    assert st._leq_count == sum(map(len, st._leq)) == cap
 
 
 def test_birthday():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mdgame import canonical_form, cgt
+from mdgame import Graph, canonical_form, cgt
 from mdgame.cli import (
     ParseError,
     main,
@@ -190,6 +190,16 @@ class TestExitCodes:
     def test_more_than_255_vertices(self, capsys):
         # the canonical form stores n in one byte, whatever --max-component is
         assert main(["value", "path 256", "--max-component", "400"]) == 3
+        assert "above the canonicalization limit 255" in capsys.readouterr().err
+
+    def test_oversized_family_term_builds_nothing(self, monkeypatch, capsys):
+        # the rows of path 300000 would take gigabytes, and it could never be
+        # labeled, so the term is refused before any graph is built
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Graph, "from_edges", refuse)
+        assert main(["value", "path 300000"]) == 3
         assert "above the canonicalization limit 255" in capsys.readouterr().err
 
     def test_memo_cap(self, capsys):

@@ -12,7 +12,7 @@ from mdgame import (Graph, MemoCapExceeded, Outcome, TooLarge, canonical_form,
                     connected_graphs)
 from mdgame.cli import _value_payload
 from mdgame.families import biclique, complete, cycle, path, star, wheel
-from mdgame.graphs import automorphisms
+from mdgame.graphs import labeling
 from mdgame.rules import (
     GraphGameEngine,
     Player,
@@ -62,7 +62,7 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 def orbit_moves(g: Graph, mover: Player, variant: Variant) -> tuple[Graph, ...]:
     """variant_moves pruned by the automorphisms g's labeling finds, as the
     engine calls it."""
-    return variant_moves(g, mover, variant, automorphisms(g))
+    return variant_moves(g, mover, variant, labeling(g)[1])
 
 
 class TestBaseMoves:
@@ -166,7 +166,7 @@ class TestOrbitMoves:
         form = functools.cache(canonical_form)  # results recur across variants
         for graphs in connected_graphs(7).values():
             for g in graphs:
-                autos = automorphisms(g)
+                autos = labeling(g)[1]
                 for variant in ALL_VARIANTS:
                     for mover in Player:
                         results = variant_moves(g, mover, variant, autos)
