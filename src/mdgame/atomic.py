@@ -19,7 +19,6 @@ store's memo_cap, like the store's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from .cgt import EngineError, GameId, GameStore, Comparison, Outcome
@@ -37,12 +36,6 @@ class NotInteger(EngineError):
 
 class RemoteStarUnstable(EngineError):
     """Remote-star surrogate comparisons disagreed between orders N and N+1."""
-
-
-class StarOrder(Enum):
-    GREATER = "Greater"
-    LESS = "Less"
-    CONFUSED = "Confused"
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class AtomicCalculator:
     def __init__(self, store: GameStore):
         self.store = store
         self._aw: dict[GameId, AtomicWeight] = {}
-        self._order: dict[GameId, StarOrder] = {}
+        self._order: dict[GameId, Comparison] = {}
         self._max_nimber: dict[GameId, int] = {}
 
     # ------------------------------------------------------------------
@@ -94,8 +87,11 @@ class AtomicCalculator:
                 best = sub
         return st._memo_put(self._max_nimber, g, best)
 
-    def remote_star_order(self, g: GameId) -> StarOrder:
-        """How g compares with a remote star: Greater, Less, or Confused."""
+    def remote_star_order(self, g: GameId) -> Comparison:
+        """How g compares with a remote star: Greater, Less, or Confused.
+
+        Never Equal: g = *N would make N a nimber inside g, but N exceeds
+        the largest one by at least 2."""
         st = self.store
         if not st.is_all_small(g):
             raise NotAllSmall("remote-star comparison requires an all-small game")
@@ -103,20 +99,13 @@ class AtomicCalculator:
         if hit is not None:
             return hit
         n = self.surrogate_order(g)
-        first, second = self._order_versus_star(g, n), self._order_versus_star(g, n + 1)
+        first = st.compare(g, st.nimber_game(n))
+        second = st.compare(g, st.nimber_game(n + 1))
         if first != second:
             raise RemoteStarUnstable(
                 f"comparison with *{n} and *{n + 1} disagreed ({first} vs {second})"
             )
         return st._memo_put(self._order, g, first)
-
-    def _order_versus_star(self, g: GameId, order: int) -> StarOrder:
-        cmp = self.store.compare(g, self.store.nimber_game(order))
-        if cmp is Comparison.GREATER:
-            return StarOrder.GREATER
-        if cmp is Comparison.LESS:
-            return StarOrder.LESS
-        return StarOrder.CONFUSED
 
     # ------------------------------------------------------------------
     # atomic weight
@@ -145,9 +134,9 @@ class AtomicCalculator:
         else:
             x, y = self._integer_exception_bounds(lefts, rights, n)
             order = self.remote_star_order(g)
-            if order is StarOrder.CONFUSED:
+            if order is Comparison.CONFUSED:
                 chosen = 0
-            elif order is StarOrder.GREATER:
+            elif order is Comparison.GREATER:
                 chosen = y
             else:
                 chosen = x

@@ -76,37 +76,6 @@ class Comparison(Enum):
 
 
 @dataclass(frozen=True)
-class DyadicRational:
-    """A dyadic rational num / 2**exp in lowest terms (exp == 0 for integers)."""
-
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if self.exp < 0:
-            raise ValueError("exponent must be nonnegative")
-        if self.exp > 0 and self.num % 2 == 0:
-            raise ValueError("dyadic rational not in lowest terms")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
-        den = value.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{value} is not dyadic")
-        return cls(value.numerator, exp)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
-
-
-@dataclass(frozen=True)
 class ValueName:
     """Classification of a canonical game: number, nimber, up multiple, or other.
 
@@ -116,7 +85,7 @@ class ValueName:
 
     kind: str  # 'number' | 'nimber' | 'ups' | 'other'
     text: str
-    number: Optional[DyadicRational] = None
+    number: Optional[Fraction] = None
     nimber_order: Optional[int] = None
     up_count: int = 0
     plus_star: bool = False
@@ -594,8 +563,7 @@ class GameStore:
         """g's name as a number, nimber or up multiple, or None."""
         fr = self.number_value(g)
         if fr is not None and self.number_game(fr) == g:
-            d = DyadicRational.from_fraction(fr)
-            return ValueName("number", text=str(d), number=d)
+            return ValueName("number", text=str(fr), number=fr)
         k = self.nimber_order(g)
         if k is not None and k >= 1 and self.nimber_game(k) == g:
             return ValueName("nimber", text="*" if k == 1 else f"*{k}", nimber_order=k)

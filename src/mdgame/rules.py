@@ -221,48 +221,35 @@ class GraphGameEngine:
     def save_cache(self, path: str) -> None:
         """Serialize the ComponentKey -> value memo plus the games it needs.
 
-        Loaded entries never used are carried over raw: their games follow
-        the store's, in file order, and an option already built points at
-        its store game.  An engine that has only loaded one file saves the
-        same bytes again.
+        The loaded file's games come first, unchanged and at their file
+        indices, built or not; a built one stands for its store game.  The
+        store games the memo reaches that have no index yet follow, in
+        handle order, so options precede their parents.  Entries never used
+        keep their file indices, so an engine that has only loaded one file
+        saves the same bytes again.
         """
-        store, disk, ids = self.store, self._disk, self._disk_ids
+        store = self.store
+        index: dict[GameId, int] = {}
+        for i, g in enumerate(self._disk_ids):
+            if g is not None:
+                index.setdefault(g, i)
         roots = list(self._values.values())
-        raw: set[int] = set()
-        stack = list(self._pending.values())
-        while stack:
-            i = stack.pop()
-            if ids[i] is not None:
-                roots.append(ids[i])
-            elif i not in raw:
-                raw.add(i)
-                stack.extend(disk[i][0] + disk[i][1])
-        needed: set[GameId] = set()
+        new: set[GameId] = set()
         while roots:
             g = roots.pop()
-            if g not in needed:
-                needed.add(g)
+            if g not in index and g not in new:
+                new.add(g)
                 roots.extend(store.left_options(g) + store.right_options(g))
-        order = sorted(needed)  # options precede their parents
-        index = {g: i for i, g in enumerate(order)}
-        raw_order = sorted(raw)  # file order, so options precede parents here too
-        raw_index = {i: len(order) + r for r, i in enumerate(raw_order)}
-
-        def ref(i: int) -> int:
-            return raw_index[i] if ids[i] is None else index[ids[i]]
-
-        payload = bytearray(struct.pack("<I", len(order) + len(raw_order)))
-
-        def put(lo: list[int], ro: list[int]) -> None:
-            payload.extend(struct.pack(f"<HH{len(lo) + len(ro)}I", len(lo), len(ro), *lo, *ro))
-
-        for g in order:
-            put([index[o] for o in store.left_options(g)],
-                [index[o] for o in store.right_options(g)])
-        for i in raw_order:
-            put([ref(j) for j in disk[i][0]], [ref(j) for j in disk[i][1]])
-        entries = {key: index[v] for key, v in self._values.items()}
-        entries.update((key, ref(i)) for key, i in self._pending.items())
+        games = list(self._disk)
+        for g in sorted(new):
+            index[g] = len(games)
+            games.append(([index[o] for o in store.left_options(g)],
+                          [index[o] for o in store.right_options(g)]))
+        payload = bytearray(struct.pack("<I", len(games)))
+        for lo, ro in games:
+            payload += struct.pack(f"<HH{len(lo) + len(ro)}I", len(lo), len(ro), *lo, *ro)
+        entries = dict(self._pending)
+        entries.update((key, index[v]) for key, v in self._values.items())
         payload += struct.pack("<I", len(entries))
         for key, i in sorted(entries.items()):
             payload += struct.pack("<H", len(key)) + key + struct.pack("<I", i)
@@ -275,8 +262,13 @@ class GraphGameEngine:
         os.replace(tmp, path)
 
     def load_cache(self, path: str) -> bool:
-        """Merge a cache file; returns False (leaving state intact) on any
+        """Read a cache file into an engine that holds no loaded game and no
+        value yet (RuntimeError otherwise), so the file's indices stay the
+        engine's.  Returns False, leaving the engine as it was, on any
         version or structural mismatch.  Entries are not built until used."""
+        if self._disk or self._values:
+            raise RuntimeError("load_cache must come first: one file, into an engine "
+                               "that has loaded and valued nothing")
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -321,17 +313,10 @@ class GraphGameEngine:
                 return False
         except (struct.error, IndexError):
             return False
-        # games are canonicalized into the store on first use; the first
-        # file to supply a key wins, and a key already valued is kept
-        base = len(self._disk)
-        if base:  # a later file's games follow the earlier ones
-            games = [(tuple(base + i for i in lo), tuple(base + i for i in ro))
-                     for lo, ro in games]
-        self._disk += games
-        self._disk_ids += [None] * ngames
-        for key, idx in entries:
-            if key not in self._values:
-                self._pending.setdefault(key, base + idx)
+        # games are canonicalized into the store on first use
+        self._disk = games
+        self._disk_ids = [None] * ngames
+        self._pending = dict(entries)
         return True
 
 
@@ -342,18 +327,17 @@ class GraphGameEngine:
 class Oracle:
     """Alternating-minimax referee, independent of the value engine.
 
-    Positions are raw labeled adjacency rows plus an alive mask; no game
-    values, canonical forms, or option-set reasoning are involved.  Intended
-    for cross-checking on small instances.
+    Positions are raw labeled adjacency rows, a deleted vertex keeping an
+    empty row; no game values, canonical forms, or option-set reasoning are
+    involved.  Intended for cross-checking on small instances.
     """
 
     def __init__(self):
         self._memo: dict[tuple, bool] = {}
 
     def outcome(self, g: Graph, variant: Variant) -> Outcome:
-        alive = (1 << g.n) - 1
-        left_first = self._wins(g.adj, alive, Player.LEFT, variant)
-        right_first = self._wins(g.adj, alive, Player.RIGHT, variant)
+        left_first = self._wins(g.adj, Player.LEFT, variant)
+        right_first = self._wins(g.adj, Player.RIGHT, variant)
         if left_first and right_first:
             return Outcome.FIRST_WINS
         if left_first:
@@ -362,28 +346,27 @@ class Oracle:
             return Outcome.RIGHT_WINS
         return Outcome.SECOND_WINS
 
-    def _wins(self, rows: tuple[int, ...], alive: int, mover: Player,
-              variant: Variant) -> bool:
-        key = (rows, alive, mover, variant)
+    def _wins(self, rows: tuple[int, ...], mover: Player, variant: Variant) -> bool:
+        key = (rows, mover, variant)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         other = Player.RIGHT if mover is Player.LEFT else Player.LEFT
         result = False
-        for nrows, nalive in self._moves(rows, alive, mover, variant):
-            if not self._wins(nrows, nalive, other, variant):
+        for nrows in self._moves(rows, mover, variant):
+            if not self._wins(nrows, other, variant):
                 result = True
                 break
         self._memo[key] = result
         return result
 
-    def _moves(self, rows: tuple[int, ...], alive: int, mover: Player,
-               variant: Variant) -> Iterator[tuple[tuple[int, ...], int]]:
+    def _moves(self, rows: tuple[int, ...], mover: Player,
+               variant: Variant) -> Iterator[tuple[int, ...]]:
         n = len(rows)
         deg = [rows[v].bit_count() for v in range(n)]
         if mover is Player.LEFT:
             for v in range(n):
-                if not alive >> v & 1 or deg[v] == 0:
+                if deg[v] == 0:
                     continue
                 if variant is Variant.FORBIDDEN_LEAF and deg[v] == 1:
                     continue
@@ -395,11 +378,9 @@ class Oracle:
                 for u in bits(rows[v]):
                     new_rows[u] &= ~(1 << v)
                 new_rows[v] = 0
-                yield tuple(new_rows), alive & ~(1 << v)
+                yield tuple(new_rows)
         else:
             for v in range(n):
-                if not alive >> v & 1:
-                    continue
                 for u in bits(rows[v] >> (v + 1)):
                     u += v + 1
                     if deg[v] < 2 or deg[u] < 2:
@@ -409,7 +390,7 @@ class Oracle:
                     new_rows = list(rows)
                     new_rows[v] &= ~(1 << u)
                     new_rows[u] &= ~(1 << v)
-                    yield tuple(new_rows), alive
+                    yield tuple(new_rows)
 
     def _mf_open(self, rows: tuple[int, ...], deg: list[int], seed: int) -> bool:
         # both classic base sets must be nonempty within seed's component

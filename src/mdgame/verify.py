@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cgt import Comparison, EngineError, Outcome
-from .atomic import StarOrder
 from .families import FamilyKind, FamilySpec, build
 from .graphs import connected_graphs
 from .rules import (
@@ -278,7 +277,7 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
         aw_txt = str(aw.integer) if aw.is_integer else ctx.store.render(aw.value)
         computed = f"{order.value}, AW={aw_txt}"
         if n >= 5:
-            ok = order is StarOrder.GREATER and aw.is_integer and aw.integer >= 1
+            ok = order is Comparison.GREATER and aw.is_integer and aw.integer >= 1
             report.rows.append(CheckRow(
                 instance=f"path {n}", computed=computed,
                 expected="Greater, AW>=1", ok=ok,

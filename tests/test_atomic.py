@@ -12,7 +12,6 @@ from mdgame import (
     NotAllSmall,
     NotInteger,
     Outcome,
-    StarOrder,
     make_context,
     two_ahead_bound,
 )
@@ -38,16 +37,16 @@ def mf_value(ctx, n):
 
 class TestRemoteStar:
     def test_star_is_confused(self, ctx):
-        assert ctx.atomic.remote_star_order(ctx.store.star) is StarOrder.CONFUSED
+        assert ctx.atomic.remote_star_order(ctx.store.star) is Comparison.CONFUSED
 
     def test_mf_p6_exceeds_far_star(self, ctx):
-        assert ctx.atomic.remote_star_order(mf_value(ctx, 6)) is StarOrder.GREATER
+        assert ctx.atomic.remote_star_order(mf_value(ctx, 6)) is Comparison.GREATER
 
     def test_down_is_less(self, ctx):
-        assert ctx.atomic.remote_star_order(ctx.store.down) is StarOrder.LESS
+        assert ctx.atomic.remote_star_order(ctx.store.down) is Comparison.LESS
 
     def test_up_is_greater(self, ctx):
-        assert ctx.atomic.remote_star_order(ctx.store.up) is StarOrder.GREATER
+        assert ctx.atomic.remote_star_order(ctx.store.up) is Comparison.GREATER
 
     def test_surrogate_order_tracks_content(self, ctx):
         at = ctx.atomic

@@ -398,6 +398,9 @@ def engine_state(engine) -> tuple:
             list(engine._disk), list(engine._disk_ids))
 
 
+COLD = engine_state(make_context().engine)
+
+
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
         ctx = make_context()
@@ -460,18 +463,9 @@ class TestCachePersistence:
         old = tmp_path / "v2.mdgc"
         old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
         fresh = make_context()
-        fresh.engine.game_of(cycle(4), Variant.CLASSIC)
-        other = make_context()
-        other.engine.game_of(path(5), Variant.MUTUAL_FAILURES)
-        current = tmp_path / "current.mdgc"
-        other.engine.save_cache(str(current))
-        assert fresh.engine.load_cache(str(current)) is True
-        assert fresh.engine._pending and fresh.engine._disk
-        before = dict(fresh.engine._values)
-        state = engine_state(fresh.engine)
         assert fresh.engine.load_cache(str(old)) is False
-        assert fresh.engine._values == before
-        assert engine_state(fresh.engine) == state
+        assert engine_state(fresh.engine) == COLD
+        assert fresh.engine.load_cache(str(cache)) is True  # the same file at version 3
 
     def test_missing_file(self, tmp_path):
         assert make_context().engine.load_cache(str(tmp_path / "nope")) is False
@@ -520,18 +514,13 @@ class TestCachePersistence:
             payload[:-4] + struct.pack("<I", ngames),  # an entry past the games
             struct.pack("<I", ngames + 1) + payload[4:],  # more games than stored
         ]
-        fresh = make_context()
-        other = make_context()
-        other.engine.game_of(cycle(5), Variant.CLASSIC)
-        good = tmp_path / "good.mdgc"
-        other.engine.save_cache(str(good))
-        assert fresh.engine.load_cache(str(good)) is True
-        state = engine_state(fresh.engine)
         bad = tmp_path / "bad.mdgc"
         for body in bad_payloads:
             bad.write_bytes(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
+            fresh = make_context()
             assert fresh.engine.load_cache(str(bad)) is False
-            assert engine_state(fresh.engine) == state
+            assert engine_state(fresh.engine) == COLD
+        assert make_context().engine.load_cache(str(cache)) is True
 
     def test_loaded_games_enter_the_store_canonical(self, tmp_path):
         # a file may hold a value in a non-canonical form: {-1, 0 |} = 1;
@@ -589,41 +578,62 @@ class TestCachePersistence:
             assert got == scratch.engine.game_of(g, variant)
         assert last.engine._pending == {}
 
-    def test_first_loaded_file_wins_and_computed_keys_stay(self, tmp_path):
+    def test_load_must_come_first(self, tmp_path):
+        ctx = make_context()
+        ctx.engine.game_of(path(5), Variant.MUTUAL_FAILURES)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        loaded = make_context()
+        assert loaded.engine.load_cache(str(cache)) is True
+        queried = make_context()
+        queried.engine.game_of(cycle(4), Variant.CLASSIC)
+        for engine in (loaded.engine, queried.engine):
+            state = engine_state(engine)
+            with pytest.raises(RuntimeError):
+                engine.load_cache(str(cache))
+            assert engine_state(engine) == state
+
+    def test_save_appends_to_the_loaded_games(self, tmp_path):
         mf = Variant.MUTUAL_FAILURES
-        key = canonical_key(path(6), mf)
-        honest = make_context()
-        for n in range(2, 7):
-            honest.engine.game_of(path(n), mf)
-        truth = tmp_path / "truth.mdgc"
-        honest.engine.save_cache(str(truth))
-        # a file that overlaps the first and gives path 6 the value 1, which
-        # no mf position has (mf values are all small)
-        liar = make_context()
-        for n in range(5, 9):
-            liar.engine.game_of(path(n), mf)
-        one = liar.store.make_game([liar.store.zero], [])
-        liar.engine._values[key] = one
-        lie = tmp_path / "lie.mdgc"
-        liar.engine.save_cache(str(lie))
+        ctx = make_context()
+        for n in range(2, 8):
+            ctx.engine.game_of(path(n), mf)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
 
-        def value_after(files, computed_first=False):
-            ctx = make_context()
-            if computed_first:
-                ctx.engine.game_of(path(6), mf)
-            for f in files:
-                assert ctx.engine.load_cache(str(f)) is True
-            assert (key in ctx.engine._pending) is not computed_first
-            return ctx, ctx.engine.game_of(path(6), mf)
+        used = make_context()
+        assert used.engine.load_cache(str(cache)) is True
+        used.engine.game_of(path(5), mf)  # built from the file
+        used.engine.game_of(cycle(5), mf)  # new values, appended
+        used.engine.game_of(wheel(4), Variant.CLASSIC)
+        resaved = tmp_path / "resaved.mdgc"
+        used.engine.save_cache(str(resaved))
+        again = resaved.read_bytes()
+        (ngames,) = struct.unpack_from("<I", blob, 8)
+        end = 12
+        for _ in range(ngames):  # the end of the file's game records
+            nl, nr = struct.unpack_from("<HH", blob, end)
+            end += 4 + 4 * (nl + nr)
+        assert struct.unpack_from("<I", again, 8)[0] > ngames
+        assert again[12:end] == blob[12:end]
 
-        true_value = honest.engine.game_of(path(6), mf)
-        ctx, got = value_after([truth, lie])
-        assert got == transplant(honest.store, ctx.store, true_value, {})
-        assert canonical_key(path(8), mf) in ctx.engine._pending  # the second file's new keys
-        ctx, got = value_after([lie, truth])
-        assert got == transplant(liar.store, ctx.store, one, {})
-        ctx, got = value_after([lie], computed_first=True)
-        assert got == transplant(honest.store, ctx.store, true_value, {})
+        last = make_context()
+        assert last.engine.load_cache(str(resaved)) is True
+        keys = set(used.engine._values) | set(used.engine._pending)
+        assert set(last.engine._pending) == keys > set(ctx.engine._values)
+
+        def served(engine, key):
+            hit = engine._values.get(key)
+            return engine._materialize(engine._pending[key]) if hit is None else hit
+
+        for key in sorted(keys):
+            got = transplant(last.store, used.store, served(last.engine, key), {})
+            assert got == served(used.engine, key)
+        scratch = make_context()  # values from the rules alone
+        for g, variant in [(cycle(5), mf), (wheel(4), Variant.CLASSIC)]:
+            got = transplant(last.store, scratch.store, last.engine.game_of(g, variant), {})
+            assert got == scratch.engine.game_of(g, variant)
 
     def test_memo_cap_bounds_served_cache_entries(self, tmp_path):
         # many keys share few values, so serving cached keys grows the
