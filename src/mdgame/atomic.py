@@ -66,6 +66,7 @@ class AtomicCalculator:
         self._aw: dict[GameId, AtomicWeight] = {}
         self._order: dict[GameId, Comparison] = {}
         self._max_nimber: dict[GameId, int] = {}
+        self._naive: dict[tuple, GameId] = {}  # raw option weights -> naive weight
 
     # ------------------------------------------------------------------
     # remote star
@@ -127,7 +128,10 @@ class AtomicCalculator:
         two = st.number_game(2)
         lefts = [st.sub(self._weight(o).value, two) for o in st.left_options(g)]
         rights = [st.add(self._weight(o).value, two) for o in st.right_options(g)]
-        naive = st.make_game(lefts, rights)
+        key = (tuple(sorted(set(lefts))), tuple(sorted(set(rights))))
+        naive = self._naive.get(key)
+        if naive is None:
+            naive = st._memo_put(self._naive, key, st.make_game(lefts, rights))
         n = st.integer_value(naive)
         if n is None:
             result = AtomicWeight(naive, False, None)

@@ -28,7 +28,12 @@ The comparison memo, the largest table, is stored as one row per game:
 hashes one int.  The rows form a list parallel to ``_left`` and
 ``_right``; ``_intern`` appends a game's empty row as it allocates the
 handle.  Under ``memo_cap`` the rows count as one table: their total
-number of entries is bounded.
+number of entries is bounded.  When a <= b is not stored but b <= a is
+stored as true, leq answers false without storing it: distinct handles
+are distinct values.
+
+make_game keeps no memo of raw option sets, which seldom repeat; callers
+that do repeat them, like the atomic weight recursion, keep their own.
 
 Memo tables are unbounded unless ``memo_cap`` is set; an overfull table
 raises MemoCapExceeded rather than evicting entries.  A store, and so
@@ -135,7 +140,6 @@ class GameStore:
         self._sums: dict[tuple[GameId, ...], GameId] = {}
         self._parts: dict[GameId, dict[GameId, GameId]] = {}
         self._neg: dict[GameId, GameId] = {}
-        self._canon: dict[tuple, GameId] = {}
         self._number: dict[GameId, Optional[Fraction]] = {}
         self._number_games: dict[Fraction, GameId] = {}
         self._nimber: dict[GameId, Optional[int]] = {}
@@ -205,6 +209,8 @@ class GameStore:
         hit = row.get(b)
         if hit is not None:
             return hit
+        if self._leq[b].get(a):  # distinct canonical games are unequal values
+            return False
         pa = self._parts.get(a)
         if pa:
             pb = self._parts.get(b)
@@ -252,21 +258,11 @@ class GameStore:
 
     def make_game(self, left_options: Iterable[GameId], right_options: Iterable[GameId]) -> GameId:
         """Intern the canonical form of the game with the given option sets."""
-        left = tuple(sorted(set(left_options)))
-        right = tuple(sorted(set(right_options)))
-        key = (left, right)
-        hit = self._canon.get(key)
-        if hit is not None:
-            return hit
-        gid = self._canonicalize(left, right)
-        return self._memo_put(self._canon, key, gid)
-
-    def _canonicalize(self, left: tuple, right: tuple) -> GameId:
+        left = self._maximal(tuple(sorted(set(left_options))))
+        right = self._minimal(tuple(sorted(set(right_options))))
         # Removing a dominated option and bypassing a reversible one both keep
         # the game's value, so an option once found not reversible stays so,
         # and a bypass leaves the other side reduced.
-        left = self._maximal(left)
-        right = self._minimal(right)
         firm_left, firm_right = set(), set()
         for _ in range(_CANON_ITER_LIMIT):
             replaced = self._bypass_left(left, right, firm_left)

@@ -9,14 +9,15 @@ individualization backtracking, returning the least upper-triangle
 encoding among the leaves of that search tree, which is canonical but not
 the least over all labelings; the labeling keeps the automorphisms it
 finds (two leaves with equal encodings), for move generation to make one
-move per orbit.  Canonicalization cost is exponential in the worst case,
-so it is guarded by an explicit vertex limit, and by 255 vertices.
+move per orbit, and stops at the first leaf whose form the caller already
+knows.  Canonicalization cost is exponential in the worst case, so it is
+guarded by an explicit vertex limit, and by 255 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .cgt import EngineError
 
@@ -34,9 +35,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency size mismatch")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError("edge endpoint out of range")
             if row >> v & 1:
                 raise ValueError("loops are not allowed")
@@ -125,14 +125,20 @@ class Graph:
         return _unchecked(len(vertices), tuple(rows))
 
     def components(self) -> list["Graph"]:
-        """Connected components as separate graphs, vertices in original order."""
+        """Connected components as separate graphs, by least vertex, vertices
+        in original order.  A lone vertex costs no bitmask operation."""
         out = []
-        rem = full = (1 << self.n) - 1
-        while rem:
-            seed = (rem & -rem).bit_length() - 1
-            mask = self._component_mask(seed) & rem
-            out.append(self if mask == full else self.induced(list(bits(mask))))
-            rem &= ~mask
+        full = (1 << self.n) - 1
+        done = 0  # vertices of the components with edges found so far
+        for v, row in enumerate(self.adj):
+            if not row:
+                out.append(self if self.n == 1 else _LONE)
+            elif not done >> v & 1:
+                mask = self._component_mask(v)
+                if mask == full:
+                    return [self]
+                out.append(self.induced(list(bits(mask))))
+                done |= mask
         return out
 
     def disjoint_union(self, other: "Graph") -> "Graph":
@@ -165,6 +171,9 @@ def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
+_LONE = _unchecked(1, (0,))
+
+
 # ----------------------------------------------------------------------
 # canonical form
 # ----------------------------------------------------------------------
@@ -183,18 +192,25 @@ def canonical_form(g: Graph) -> bytes:
     return labeling(g)[0]
 
 
-def labeling(g: Graph) -> tuple[bytes, tuple[bytes, ...]]:
+def labeling(g: Graph, known: Container[bytes] = ()) -> tuple[bytes, tuple[bytes, ...]]:
     """canonical_form(g) and the automorphisms of g its search found.
 
     Map a sends v to a[v].  The maps generate a subgroup of Aut(g), whose
     orbits may split true orbits but never join two.  Raises TooLarge
     above 255 vertices.
+
+    known is a container of canonical forms, each returned by an earlier
+    full search.  The search stops at its first leaf whose bytes are in
+    known and returns them with no automorphisms: a leaf encodes a
+    relabeling of g, so g is isomorphic to the graph that form came from,
+    and the form is g's.  Bytes from anywhere else, such as cache-file
+    keys, must never be put in known.
     """
     if g.n > _BYTE_LIMIT:
         raise TooLarge(
             f"graph has {g.n} vertices, above the canonicalization limit {_BYTE_LIMIT}"
         )
-    return _canonical_bytes(g.n, g.adj)
+    return _canonical_bytes(g.n, g.adj, known)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -238,10 +254,13 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, ...]]:
-    """Canonical bytes of (n, adj) and the automorphisms the search found."""
+def _canonical_bytes(n: int, adj: tuple[int, ...],
+                     known: Container[bytes] = ()) -> tuple[bytes, tuple[bytes, ...]]:
+    """Canonical bytes of (n, adj) and the automorphisms the search found,
+    or the first leaf's bytes that are in known and no automorphisms."""
     if n == 0:
         return b"\x00", ()
+    head, nbytes = bytes([n]), (n * (n - 1) // 2 + 7) // 8
     best: Optional[int] = None
     best_order: list[int] = []
     autos: list[bytes] = []
@@ -275,7 +294,8 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, 
                     frontier.append(w)
         return reach
 
-    def search(cells: list[int], path: tuple[int, ...]) -> None:
+    def search(cells: list[int], path: tuple[int, ...]) -> bool:
+        """Search below cells; True once a leaf's bytes are in known."""
         nonlocal best, best_order
         at = -1
         for i, cell in enumerate(cells):
@@ -284,6 +304,9 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, 
         if at < 0:
             order = [cell.bit_length() - 1 for cell in cells]
             code = encode(order)
+            if known and head + code.to_bytes(nbytes, "big") in known:
+                best = code
+                return True
             if best is None or code < best:
                 best = code
                 best_order = order
@@ -294,15 +317,15 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, 
                 for pos in range(n):
                     sigma[best_order[pos]] = order[pos]
                 autos.append(bytes(sigma))
-            return
+            return False
         target = cells[at]
         explored: list[int] = []
         fixing: list[bytes] = []
-        known = 0
+        counted = 0
         for v in bits(target):
             if explored:
-                if known != len(autos):
-                    known = len(autos)
+                if counted != len(autos):
+                    counted = len(autos)
                     fixing = [a for a in autos if all(a[u] == u for u in path)]
                 if fixing and v in orbit_of(explored, fixing):
                     # an automorphism fixing the path maps an explored branch
@@ -310,14 +333,15 @@ def _canonical_bytes(n: int, adj: tuple[int, ...]) -> tuple[bytes, tuple[bytes, 
                     explored.append(v)
                     continue
             split = cells[:at] + [1 << v, target & ~(1 << v)] + cells[at + 1:]
-            search(_refine(adj, split, [1 << v]), path + (v,))
+            if search(_refine(adj, split, [1 << v]), path + (v,)):
+                return True
             explored.append(v)
+        return False
 
     full = (1 << n) - 1
-    search(_refine(adj, [full], [full]), ())
+    stopped = search(_refine(adj, [full], [full]), ())
     assert best is not None
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + best.to_bytes((nbits + 7) // 8, "big"), tuple(autos)
+    return head + best.to_bytes(nbytes, "big"), () if stopped else tuple(autos)
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,17 @@ isomorphism-invariant ComponentKey (variant tag + canonical form), and
 combined by disjunctive sum.  Moves in one automorphism orbit give
 isomorphic results, so a component's options come from one legal move per
 orbit under the automorphisms its canonical labeling found.  The engine
-owns everything it remembers (component lists, labelings, values), all
-under the store's memo cap, and it alone enforces the component size
-limit, once per component; graphs keeps no state.  A separate
-brute-force referee (Oracle) replays whole labeled graphs by alternating
-minimax without touching game values or canonical forms; it exists to
-cross-check the engine.
+owns all it remembers, under the store's memo cap: each labeled graph's
+form, or its components' forms, keyed by one int up to 255 vertices; one
+record per isomorphism class; and the values.  A class is expanded once
+for all three variants: the orbit moves of its first fully searched graph
+become their results' forms, classic uses them all, fl drops Left's leaf
+deletions, and mf closes the class, labeling no child, when a side has
+none.  Labeling a graph of a known class stops at the first search leaf
+with a known form.  The engine alone enforces the component size limit;
+graphs keeps no state.  A separate brute-force referee (Oracle) replays
+whole labeled graphs by alternating minimax without touching game values
+or canonical forms; it exists to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Iterator, Optional
 
 from .cgt import GameId, GameStore, Outcome
 from .atomic import AtomicCalculator
-from .graphs import Graph, TooLarge, bits, canonical_form, labeling
+from .graphs import _BYTE_LIMIT, Graph, TooLarge, bits, canonical_form, labeling
 
 DEFAULT_COMPONENT_LIMIT = 12
 
@@ -72,23 +77,6 @@ def canonical_key(component: Graph, variant: Variant) -> bytes:
 # move generation
 # ----------------------------------------------------------------------
 
-def _left_moves(c: Graph, leaves: int, forbid_leaf: bool) -> Iterator[int]:
-    """Vertices Left may delete from c, whose degree-1 vertices are leaves."""
-    banned = leaves if forbid_leaf else 0
-    for v, row in enumerate(c.adj):
-        # an isolated vertex is a dead stone; deleting a leaf's neighbor isolates it
-        if row and not row & leaves and not banned >> v & 1:
-            yield v
-
-
-def _right_moves(c: Graph, leaves: int) -> Iterator[tuple[int, int]]:
-    """Edges Right may delete from c: those with no leaf end."""
-    for v, row in enumerate(c.adj):
-        if not leaves >> v & 1:
-            for u in bits(row >> (v + 1) << (v + 1) & ~leaves):
-                yield v, u
-
-
 def _edge_image(a: bytes, e: tuple[int, int]) -> tuple[int, int]:
     u, v = a[e[0]], a[e[1]]
     return (u, v) if u < v else (v, u)
@@ -113,6 +101,32 @@ def _orbit_firsts(moves: list, autos: tuple[bytes, ...], image) -> list:
     return firsts
 
 
+def _orbit_moves(c: Graph, autos: tuple[bytes, ...]) -> tuple[list, list, list]:
+    """The classic moves on a connected component, one per orbit under
+    autos: Left's non-leaf vertices, Left's leaves, and Right's edges."""
+    leaves = sum(1 << v for v, row in enumerate(c.adj) if row and not row & (row - 1))
+    inner, ends, edges = [], [], []
+    for v, row in enumerate(c.adj):
+        # an isolated vertex is a dead stone; deleting a leaf's neighbor isolates it
+        if row and not row & leaves:
+            (ends if leaves >> v & 1 else inner).append(v)
+        if not leaves >> v & 1:
+            edges += [(v, u) for u in bits(row >> (v + 1) << (v + 1) & ~leaves)]
+    # automorphisms keep leaves leaves, so no orbit meets two of these lists
+    if len(inner) > 1:
+        inner = _orbit_firsts(inner, autos, operator.getitem)
+    if len(ends) > 1:
+        ends = _orbit_firsts(ends, autos, operator.getitem)
+    if len(edges) > 1:
+        edges = _orbit_firsts(edges, autos, _edge_image)
+    return inner, ends, edges
+
+
+def _closed(inner: list, ends: list, edges: list) -> bool:
+    """Whether mf closes a component with these classic moves."""
+    return not (inner or ends) or not edges
+
+
 def variant_moves(c: Graph, mover: Player, variant: Variant,
                   autos: tuple[bytes, ...]) -> tuple[Graph, ...]:
     """One result per orbit of mover's legal moves on a connected component.
@@ -122,21 +136,13 @@ def variant_moves(c: Graph, mover: Player, variant: Variant,
     autos empty every legal move gives its own result.  Isomorphic results
     of different orbits are not merged: equal options collapse in make_game.
     """
-    leaves = sum(1 << v for v, row in enumerate(c.adj) if row and not row & (row - 1))
-    if variant is Variant.MUTUAL_FAILURES and (
-        next(_left_moves(c, leaves, False), None) is None
-        or next(_right_moves(c, leaves), None) is None
-    ):
+    inner, ends, edges = _orbit_moves(c, autos)
+    if variant is Variant.MUTUAL_FAILURES and _closed(inner, ends, edges):
         return ()  # the component is closed unless both players can move
-    if mover is Player.LEFT:
-        vertices = list(_left_moves(c, leaves, variant is Variant.FORBIDDEN_LEAF))
-        if len(vertices) > 1:
-            vertices = _orbit_firsts(vertices, autos, operator.getitem)
-        return tuple(c.delete_vertex(v) for v in vertices)
-    edges = list(_right_moves(c, leaves))
-    if len(edges) > 1:
-        edges = _orbit_firsts(edges, autos, _edge_image)
-    return tuple(c.delete_edge(u, v) for u, v in edges)
+    if mover is Player.RIGHT:
+        return tuple(c.delete_edge(u, v) for u, v in edges)
+    vertices = inner if variant is Variant.FORBIDDEN_LEAF else sorted(inner + ends)
+    return tuple(c.delete_vertex(v) for v in vertices)
 
 
 # ----------------------------------------------------------------------
@@ -153,10 +159,14 @@ class GraphGameEngine:
     def __init__(self, store: GameStore, max_component: int = DEFAULT_COMPONENT_LIMIT):
         self.store = store
         self.max_component = max_component
-        # labeled adjacency rows -> the graph's components, and -> the
-        # component's (canonical form, automorphisms)
-        self._components: dict[tuple[int, ...], list[Graph]] = {}
-        self._labels: dict[tuple[int, ...], tuple[bytes, tuple[bytes, ...]]] = {}
+        # labeled graph (keyed as in _entry) -> its form if connected, else
+        # its components' forms, lone vertices left out
+        self._components: dict = {}
+        # form -> (representative, inner, ends, edges): the class's first fully
+        # searched graph and its orbit moves (see _orbit_moves), until its
+        # first expansion drops the representative and turns each move into
+        # its result's _components entry
+        self._classes: dict[bytes, tuple] = {}
         self._values: dict[bytes, GameId] = {}
         # loaded cache entries stay raw until first use: each disk game's
         # option indices, its store handle once built, and key -> disk index
@@ -166,25 +176,45 @@ class GraphGameEngine:
 
     def game_of(self, g: Graph, variant: Variant) -> GameId:
         """Canonical value of a position: sum of its component values."""
-        comps = self._components.get(g.adj)
-        if comps is None:
-            comps = self.store._memo_put(self._components, g.adj, g.components())
-        total = self.store.zero
-        for comp in comps:
-            total = self.store.add(total, self.component_value(comp, variant))
-        return total
+        return self._sum(self._entry(g), variant)
 
     def component_value(self, comp: Graph, variant: Variant) -> GameId:
         """Value of a connected graph; TooLarge above max_component vertices."""
-        if comp.n == 1:
-            return self.store.zero
-        if comp.n > self.max_component:
-            raise TooLarge(f"graph has {comp.n} vertices, above the "
-                           f"canonicalization limit {self.max_component}")
-        label = self._labels.get(comp.adj)
-        if label is None:
-            label = self.store._memo_put(self._labels, comp.adj, labeling(comp))
-        form, autos = label
+        return self.game_of(comp, variant)
+
+    def _entry(self, g: Graph):
+        """g's _components entry, its components labeled on first sight."""
+        n = g.n
+        if n > _BYTE_LIMIT:
+            key = g.adj  # packing n rows of n bits would take n * n bits
+        else:
+            key = n  # then the rows, n bits each
+            for row in g.adj:
+                key = key << n | row
+        hit = self._components.get(key)
+        if hit is None:
+            comps = g.components()
+            if len(comps) > 1 or n < 2:
+                hit = tuple(self._entry(c) for c in comps if c.n > 1)
+            elif n > self.max_component:
+                raise TooLarge(f"graph has {n} vertices, above the "
+                               f"canonicalization limit {self.max_component}")
+            else:
+                hit, autos = labeling(g, self._classes)
+                if hit not in self._classes:  # a full search: a new class
+                    self.store._memo_put(self._classes, hit, (g, *_orbit_moves(g, autos)))
+            self.store._memo_put(self._components, key, hit)
+        return hit
+
+    def _sum(self, entry, variant: Variant) -> GameId:
+        if isinstance(entry, bytes):
+            return self._value(entry, variant)
+        total = self.store.zero
+        for form in entry:
+            total = self.store.add(total, self._value(form, variant))
+        return total
+
+    def _value(self, form: bytes, variant: Variant) -> GameId:
         key = variant.tag + form
         hit = self._values.get(key)
         if hit is not None:
@@ -193,11 +223,18 @@ class GraphGameEngine:
         if loaded is not None:
             value = self._materialize(loaded)
         else:
-            lefts = [self.game_of(r, variant)
-                     for r in variant_moves(comp, Player.LEFT, variant, autos)]
-            rights = [self.game_of(r, variant)
-                      for r in variant_moves(comp, Player.RIGHT, variant, autos)]
-            value = self.store.make_game(lefts, rights)
+            rep, inner, ends, edges = self._classes[form]
+            if variant is Variant.MUTUAL_FAILURES and _closed(inner, ends, edges):
+                value = self.store.zero
+            else:
+                if rep is not None:  # the first expansion serves every variant
+                    inner = tuple(self._entry(rep.delete_vertex(v)) for v in inner)
+                    ends = tuple(self._entry(rep.delete_vertex(v)) for v in ends)
+                    edges = tuple(self._entry(rep.delete_edge(u, v)) for u, v in edges)
+                    self._classes[form] = (None, inner, ends, edges)
+                lefts = inner if variant is Variant.FORBIDDEN_LEAF else inner + ends
+                value = self.store.make_game([self._sum(r, variant) for r in lefts],
+                                             [self._sum(r, variant) for r in edges])
         self.store._memo_put(self._values, key, value)
         self._pending.pop(key, None)
         return value

@@ -103,7 +103,7 @@ class TestAtomicWeight:
 
     def test_memo_cap_bounds_its_tables(self):
         ctx = make_context()
-        g = mf_value(ctx, 12)  # its weight fills each table with 10 or 11 entries
+        g = mf_value(ctx, 12)  # its weight fills each table with 6 to 11 entries
         ctx.atomic.atomic_weight(g)  # so the store needs no new entries below
         cap = 5
         ctx.store.memo_cap = cap
@@ -111,7 +111,7 @@ class TestAtomicWeight:
         with pytest.raises(MemoCapExceeded):
             fresh.atomic_weight(g)
         tables = [t for t in vars(fresh).values() if isinstance(t, dict)]
-        assert len(tables) == 3 and all(len(t) <= cap for t in tables)
+        assert len(tables) == 4 and all(len(t) <= cap for t in tables)
 
 
 class TestTwoAhead:

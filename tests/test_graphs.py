@@ -64,6 +64,10 @@ class TestSurgery:
         assert g.edge_count == 3
         assert len(g.components()) == 1
 
+    def test_lone_vertices_keep_their_place(self):
+        comps = Graph.from_edges(5, [(1, 3)]).components()
+        assert [(c.n, c.edges()) for c in comps] == [(1, []), (2, [(0, 1)]), (1, []), (1, [])]
+
     def test_delete_missing_edge_fails(self):
         with pytest.raises(ValueError):
             path(3).delete_edge(0, 2)
@@ -254,6 +258,25 @@ class TestAutomorphisms:
 
     def test_random_six_and_seven(self):
         assert self.assert_valid(random_six_and_seven(2014)) > 0
+
+
+class TestKnownForms:
+    def test_known_forms_never_change_the_form(self):
+        # every connected graph through 7 vertices and a relabeling of each,
+        # with known empty, holding the graph's own form, and holding every
+        # other class's form: a leaf of g can only match g's own form
+        rng = random.Random(1998)
+        graphs = [g for gs in connected_graphs(7).values() for g in gs]
+        others = {canonical_form(g) for g in graphs}
+        assert len(others) == len(graphs)
+        for g in graphs:
+            form = canonical_form(g)
+            others.discard(form)
+            for h in (g, shuffled_copy(g, rng)):
+                assert labeling(h, ())[0] == form
+                assert labeling(h, {form}) == (form, ())  # stopped at a leaf
+                assert labeling(h, others)[0] == form
+            others.add(form)
 
 
 # canonical_form bytes of a dozen graphs, recorded before the refinement

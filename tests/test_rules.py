@@ -4,12 +4,14 @@ import functools
 import itertools
 import random
 import struct
+import time
 import zlib
 
 import pytest
 
 from mdgame import (Graph, MemoCapExceeded, Outcome, TooLarge, canonical_form,
                     connected_graphs)
+from mdgame import rules
 from mdgame.cli import _value_payload
 from mdgame.families import biclique, complete, cycle, path, star, wheel
 from mdgame.graphs import labeling
@@ -331,41 +333,118 @@ class TestRelabelingInvariance:
 
 class TestOwnedState:
     def test_each_context_starts_cold(self):
-        # component lists and labelings belong to one context: a new one
-        # starts empty and recomputes the same answers
+        # labeled graphs' forms and the classes belong to one context: a new
+        # one starts empty and recomputes the same answers
         wheels = [wheel(n) for n in range(3, 9)]
         warm = make_context()
         first = {(g, v): warm.engine.game_of(g, v) for v in ALL_VARIANTS for g in wheels}
-        assert warm.engine._labels and warm.engine._components
+        assert warm.engine._classes and warm.engine._components
         cold = make_context()
-        assert not cold.engine._labels and not cold.engine._components
+        assert not cold.engine._classes and not cold.engine._components
         again = {key: cold.engine.game_of(*key) for key in first}
         memo: dict = {}
         for key, value in first.items():
             assert transplant(warm.store, cold.store, value, memo) == again[key]
             assert warm.store.outcome(value) is cold.store.outcome(again[key])
 
-    @pytest.mark.parametrize("full", ["_components", "_labels"])
+    @pytest.mark.parametrize("full", ["_components", "_classes"])
     def test_memo_cap_bounds_the_graph_tables(self, full):
         cap = 20
         if full == "_components":
-            # every option of a wheel is a position of its own
-            positions = [wheel(n) for n in range(3, 9)]
-        else:
-            # one position of 42 differently labeled stars, all closed in mf
+            # every option of a wheel is a labeled graph of its own; and one
+            # position of 42 differently labeled stars, all closed in mf,
+            # holds 42 labeled components but only 7 classes
             stars = Graph.empty(0)
             for k in range(2, 9):
                 for center in range(k + 1):
                     stars = stars.disjoint_union(Graph.from_edges(
                         k + 1, [(center, v) for v in range(k + 1) if v != center]))
-            positions = [stars]
-        capped = make_context(memo_cap=cap)
-        with pytest.raises(MemoCapExceeded):
-            for g in positions:
-                capped.engine.game_of(g, Variant.MUTUAL_FAILURES)
-        engine = capped.engine
-        assert len(getattr(engine, full)) == cap
-        assert len(engine._labels) <= cap and len(engine._components) <= cap
+            runs = [[wheel(n) for n in range(3, 9)], [stars]]
+        else:
+            # one position of 30 components in 30 classes: each class is
+            # stored before its labeled graph, so the classes fill first
+            runs = [[functools.reduce(Graph.disjoint_union, (
+                g for n, gs in connected_graphs(5).items() if n > 1 for g in gs))]]
+        for positions in runs:
+            capped = make_context(memo_cap=cap)
+            with pytest.raises(MemoCapExceeded):
+                for g in positions:
+                    capped.engine.game_of(g, Variant.MUTUAL_FAILURES)
+            engine = capped.engine
+            assert len(getattr(engine, full)) == cap
+            assert len(engine._classes) <= cap and len(engine._components) <= cap
+
+
+def count_labelings(monkeypatch) -> list:
+    """Record each labeling the engine asks for: whether it found a new
+    class, which takes a full search, and the automorphisms it returned."""
+    calls = []
+
+    def counted(g, known=()):
+        form, autos = labeling(g, known)
+        calls.append((form not in known, autos))
+        return form, autos
+
+    monkeypatch.setattr(rules, "labeling", counted)
+    return calls
+
+
+class TestClassExpansion:
+    def test_one_expansion_serves_every_variant(self, monkeypatch):
+        calls = count_labelings(monkeypatch)
+        wheels = [wheel(n) for n in range(3, 8)]
+        ctx = make_context()
+        classic = [ctx.engine.game_of(g, Variant.CLASSIC) for g in wheels]
+        full = [autos for new, autos in calls if new]
+        assert len(full) == len(ctx.engine._classes) < len(calls)
+        assert all(autos == () for new, autos in calls if not new)  # stopped early
+        assert all(rep is None for rep, *_ in ctx.engine._classes.values())
+        labeled = len(calls)
+        values = {Variant.CLASSIC: classic}
+        for variant in (Variant.FORBIDDEN_LEAF, Variant.MUTUAL_FAILURES):
+            values[variant] = [ctx.engine.game_of(g, variant) for g in wheels]
+        assert len(calls) == labeled  # fl and mf label nothing
+        for variant, got in values.items():  # each variant valued alone agrees
+            alone = make_context()
+            memo: dict = {}
+            assert [transplant(ctx.store, alone.store, v, memo) for v in got] == [
+                alone.engine.game_of(g, variant) for g in wheels]
+
+    def test_closed_mf_component_labels_no_child(self, monkeypatch):
+        calls = count_labelings(monkeypatch)
+        ctx = make_context()
+        for g in (star(5), path(3)):  # Right cannot move, so mf closes them
+            assert ctx.engine.game_of(g, Variant.MUTUAL_FAILURES) == ctx.store.zero
+        assert len(calls) == 2
+        assert [rep for rep, *_ in ctx.engine._classes.values()] == [star(5), path(3)]
+        ctx.engine.game_of(star(5), Variant.CLASSIC)  # Left deletes leaves
+        assert len(calls) > 2 and ctx.engine._classes[canonical_form(star(5))][0] is None
+
+    def test_a_loaded_cache_adds_nothing_to_known(self, tmp_path, monkeypatch):
+        ctx = make_context()
+        for n in range(3, 8):
+            ctx.engine.game_of(wheel(n), Variant.CLASSIC)
+        cache = tmp_path / "wheels.mdgc"
+        ctx.engine.save_cache(str(cache))
+        calls = count_labelings(monkeypatch)
+        fresh = make_context()
+        assert fresh.engine.load_cache(str(cache))
+        assert not fresh.engine._classes and not fresh.engine._components
+        value = fresh.engine.game_of(wheel(6), Variant.CLASSIC)
+        # served from the file: one full search, of the queried graph only
+        assert [new for new, _ in calls] == [True]
+        (form, (rep, *_)), = fresh.engine._classes.items()
+        assert form == canonical_form(wheel(6)) and rep == wheel(6)
+        assert transplant(fresh.store, ctx.store, value, {}) == ctx.engine.game_of(
+            wheel(6), Variant.CLASSIC)
+
+    def test_lone_vertices_value_zero_quickly(self):
+        ctx = make_context()
+        start = time.perf_counter()
+        g = Graph.empty(100_000)
+        for variant in ALL_VARIANTS:
+            assert ctx.engine.game_of(g, variant) == ctx.store.zero
+        assert time.perf_counter() - start < 1
 
 
 class TestHistoryIndependentText:
