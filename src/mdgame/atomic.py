@@ -10,10 +10,11 @@ with the integer exception: when the bracket simplifies to an integer, the
 result is instead picked from the integers adjacent to the option weights
 according to how g compares with a remote star (a nim-heap *N larger than
 every nimber inside g).  Comparisons against the remote star use the
-finite surrogate order N = 2 + the largest nimber inside g, validated by
-recomputing at N+1; disagreement raises RemoteStarUnstable rather than
-returning a guess.  The calculator's memo tables are bounded by the
-store's memo_cap, like the store's own.
+finite surrogate order N = 2 + the largest k such that *k is g or one of
+its subpositions, a fact the store records when it interns g, and are
+validated by recomputing at N+1; disagreement raises RemoteStarUnstable
+rather than returning a guess.  The calculator's memo tables are bounded
+by the store's memo_cap, like the store's own.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class AtomicCalculator:
         self.store = store
         self._aw: dict[GameId, AtomicWeight] = {}
         self._order: dict[GameId, Comparison] = {}
-        self._max_nimber: dict[GameId, int] = {}
         self._naive: dict[tuple, GameId] = {}  # raw option weights -> naive weight
 
     # ------------------------------------------------------------------
@@ -74,19 +74,7 @@ class AtomicCalculator:
 
     def surrogate_order(self, g: GameId) -> int:
         """Order of the *N surrogate used for remote-star comparisons against g."""
-        return 2 + self._max_nimber_in(g)
-
-    def _max_nimber_in(self, g: GameId) -> int:
-        hit = self._max_nimber.get(g)
-        if hit is not None:
-            return hit
-        st = self.store
-        best = st.nimber_order(g) or 0
-        for o in st.left_options(g) + st.right_options(g):
-            sub = self._max_nimber_in(o)
-            if sub > best:
-                best = sub
-        return st._memo_put(self._max_nimber, g, best)
+        return 2 + self.store.largest_nimber_in(g)
 
     def remote_star_order(self, g: GameId) -> Comparison:
         """How g compares with a remote star: Greater, Less, or Confused.

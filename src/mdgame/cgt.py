@@ -32,6 +32,14 @@ number of entries is bounded.  When a <= b is not stored but b <= a is
 stored as true, leq answers false without storing it: distinct handles
 are distinct values.
 
+Five facts of a game follow from its options' facts: its birthday,
+whether it is all-small, its nimber order, its number value, and the
+largest k such that *k is it or one of its subpositions.  ``_intern``
+appends them to lists parallel to ``_left`` as it allocates the handle,
+the options being interned first, so each is one lookup and none
+recurses.  These lists grow one entry per game, like ``_left``, so
+``memo_cap`` does not count them, as it does not count the game table.
+
 make_game keeps no memo of raw option sets, which seldom repeat; callers
 that do repeat them, like the atomic weight recursion, keep their own.
 
@@ -134,19 +142,21 @@ class GameStore:
         self._right: list[tuple[GameId, ...]] = []
         self._index: dict[tuple, GameId] = {}
         self._leq: list[dict[GameId, bool]] = []  # _leq[a][b] is a <= b
+        # facts of each game, appended by _intern (see the module docstring)
+        self._birthday: list[int] = []
+        self._all_small: list[bool] = []
+        self._nimber: list[Optional[int]] = []  # k when the game is *k
+        self._number: list[Optional[Fraction]] = []
+        self._largest_nimber: list[int] = []
         self._leq_count = 0  # entries in all rows, see _leq_put
         self._add: dict[tuple[GameId, GameId], GameId] = {}
         self._summands: dict[GameId, tuple[GameId, ...]] = {}
         self._sums: dict[tuple[GameId, ...], GameId] = {}
         self._parts: dict[GameId, dict[GameId, GameId]] = {}
         self._neg: dict[GameId, GameId] = {}
-        self._number: dict[GameId, Optional[Fraction]] = {}
         self._number_games: dict[Fraction, GameId] = {}
-        self._nimber: dict[GameId, Optional[int]] = {}
         self._nimber_games: dict[int, GameId] = {}
         self._ups_games: dict[tuple[int, bool], GameId] = {}
-        self._all_small: dict[GameId, bool] = {}
-        self._birthday: dict[GameId, int] = {}
         self._names: dict[GameId, ValueName] = {}
         self._text_lengths: dict[GameId, int] = {}
 
@@ -170,7 +180,33 @@ class GameStore:
             self._left.append(left)
             self._right.append(right)
             self._leq.append({})
+            opts = left + right  # interned before this game, so their facts are known
+            self._birthday.append(1 + max((self._birthday[o] for o in opts), default=-1))
+            small = bool(left) == bool(right) and all(self._all_small[o] for o in opts)
+            self._all_small.append(small)
+            orders = {self._nimber[o] for o in left}
+            nimber = len(left) if left == right and orders == set(range(len(left))) else None
+            self._nimber.append(nimber)
+            self._number.append(self._number_from(left, right))
+            inner = max((self._largest_nimber[o] for o in opts), default=0)
+            self._largest_nimber.append(max(nimber or 0, inner))
         return gid
+
+    def _number_from(self, left: tuple, right: tuple) -> Optional[Fraction]:
+        """The number {left|right} equals, found from its options' numbers, or None."""
+        if not left and not right:
+            return Fraction(0)
+        if len(left) > 1 or len(right) > 1:
+            return None
+        lv = self._number[left[0]] if left else None
+        rv = self._number[right[0]] if right else None
+        if not right:
+            return lv + 1 if lv is not None and lv.denominator == 1 and lv >= 0 else None
+        if not left:
+            return rv - 1 if rv is not None and rv.denominator == 1 and rv <= 0 else None
+        if lv is None or rv is None or not lv < rv:
+            return None
+        return _simplest_between(lv, rv)
 
     def _memo_put(self, table: dict, key, value):
         cap = self.memo_cap
@@ -396,26 +432,15 @@ class GameStore:
     # ------------------------------------------------------------------
 
     def birthday(self, g: GameId) -> int:
-        hit = self._birthday.get(g)
-        if hit is not None:
-            return hit
-        opts = self._left[g] + self._right[g]
-        b = 1 + max((self.birthday(o) for o in opts), default=-1)
-        return self._memo_put(self._birthday, g, b)
+        return self._birthday[g]
 
     def is_all_small(self, g: GameId) -> bool:
         """True when every subposition has both or neither player able to move."""
-        hit = self._all_small.get(g)
-        if hit is not None:
-            return hit
-        left, right = self._left[g], self._right[g]
-        if bool(left) != bool(right):
-            result = False
-        else:
-            result = all(self.is_all_small(o) for o in left) and all(
-                self.is_all_small(o) for o in right
-            )
-        return self._memo_put(self._all_small, g, result)
+        return self._all_small[g]
+
+    def largest_nimber_in(self, g: GameId) -> int:
+        """The largest k such that *k is g or one of its subpositions."""
+        return self._largest_nimber[g]
 
     # ------------------------------------------------------------------
     # named values
@@ -423,29 +448,7 @@ class GameStore:
 
     def number_value(self, g: GameId) -> Optional[Fraction]:
         """The dyadic rational g equals, or None when g is not a number."""
-        memo = self._number
-        if g in memo:
-            return memo[g]
-        left, right = self._left[g], self._right[g]
-        result: Optional[Fraction]
-        if not left and not right:
-            result = Fraction(0)
-        elif len(left) > 1 or len(right) > 1:
-            result = None
-        elif not right:
-            lv = self.number_value(left[0])
-            result = lv + 1 if lv is not None and lv.denominator == 1 and lv >= 0 else None
-        elif not left:
-            rv = self.number_value(right[0])
-            result = rv - 1 if rv is not None and rv.denominator == 1 and rv <= 0 else None
-        else:
-            lv = self.number_value(left[0])
-            rv = self.number_value(right[0])
-            if lv is None or rv is None or not lv < rv:
-                result = None
-            else:
-                result = _simplest_between(lv, rv)
-        return self._memo_put(memo, g, result)
+        return self._number[g]
 
     def integer_value(self, g: GameId) -> Optional[int]:
         fr = self.number_value(g)
@@ -459,6 +462,8 @@ class GameStore:
         if hit is not None:
             return hit
         fr = Fraction(value)
+        if fr.denominator & (fr.denominator - 1):
+            raise ValueError(f"{value} is not a dyadic rational")
         if fr == 0:
             g = self.zero
         elif fr.denominator == 1:
@@ -474,27 +479,7 @@ class GameStore:
 
     def nimber_order(self, g: GameId) -> Optional[int]:
         """k when g == *k (k == 0 meaning g == 0), else None."""
-        memo = self._nimber
-        if g in memo:
-            return memo[g]
-        left, right = self._left[g], self._right[g]
-        result: Optional[int]
-        if not left and not right:
-            result = 0
-        elif left != right:
-            result = None
-        else:
-            orders = set()
-            result = len(left)
-            for o in left:
-                k = self.nimber_order(o)
-                if k is None:
-                    result = None
-                    break
-                orders.add(k)
-            if result is not None and orders != set(range(result)):
-                result = None
-        return self._memo_put(memo, g, result)
+        return self._nimber[g]
 
     def nimber_game(self, order: int) -> GameId:
         if order < 0:

@@ -240,12 +240,18 @@ class GraphGameEngine:
         return value
 
     def _materialize(self, i: int) -> GameId:
-        """Build loaded game i in the store, options first."""
-        ids = self._disk_ids
-        if ids[i] is None:
-            lo, ro = self._disk[i]
-            ids[i] = self.store.make_game([self._materialize(j) for j in lo],
-                                          [self._materialize(j) for j in ro])
+        """Build loaded game i in the store, options first, in the order a
+        recursion would, but from a stack: a deep chain cannot overflow."""
+        ids, stack = self._disk_ids, [i]
+        while stack:
+            lo, ro = self._disk[stack[-1]]
+            todo = [k for k in lo + ro if ids[k] is None]
+            if todo:
+                stack += reversed(todo)
+                continue
+            j = stack.pop()
+            if ids[j] is None:
+                ids[j] = self.store.make_game([ids[k] for k in lo], [ids[k] for k in ro])
         return ids[i]
 
     def outcome_of(self, g: Graph, variant: Variant) -> Outcome:

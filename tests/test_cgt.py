@@ -12,7 +12,9 @@ import pytest
 
 import rawgames as raw
 import mdgame
-from mdgame import Comparison, GameStore, MemoCapExceeded, Outcome
+from mdgame import AtomicCalculator, Comparison, GameStore, MemoCapExceeded, Outcome
+from mdgame.families import path, wheel
+from mdgame.rules import Variant, make_context
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +473,100 @@ def test_birthday():
     assert st.birthday(st.star) == 1
     assert st.birthday(st.up_star) == 2
     assert st.birthday(st.number_game(3)) == 3
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), "2/6"])
+def test_number_game_rejects_non_dyadic_values(value):
+    with pytest.raises(ValueError):
+        GameStore().number_game(value)
+
+
+# ----------------------------------------------------------------------
+# structural facts, against their recursive definitions
+# ----------------------------------------------------------------------
+
+def recursive_facts(st):
+    """Birthday, all-small, nimber order, number value and largest nimber
+    inside, each by recursion over options with its own memo."""
+    lefts, rights = st.left_options, st.right_options
+
+    @functools.cache
+    def birthday(g):
+        return 1 + max((birthday(o) for o in lefts(g) + rights(g)), default=-1)
+
+    @functools.cache
+    def all_small(g):
+        left, right = lefts(g), rights(g)
+        return bool(left) == bool(right) and all(map(all_small, left + right))
+
+    @functools.cache
+    def nimber(g):
+        left, right = lefts(g), rights(g)
+        if not left and not right:
+            return 0
+        if left != right:
+            return None
+        orders = set()
+        for o in left:
+            k = nimber(o)
+            if k is None:
+                return None
+            orders.add(k)
+        return len(left) if orders == set(range(len(left))) else None
+
+    @functools.cache
+    def number(g):
+        left, right = lefts(g), rights(g)
+        if not left and not right:
+            return Fraction(0)
+        if len(left) > 1 or len(right) > 1:
+            return None
+        if not right:
+            lv = number(left[0])
+            return lv + 1 if lv is not None and lv.denominator == 1 and lv >= 0 else None
+        if not left:
+            rv = number(right[0])
+            return rv - 1 if rv is not None and rv.denominator == 1 and rv <= 0 else None
+        lv, rv = number(left[0]), number(right[0])
+        if lv is None or rv is None or not lv < rv:
+            return None
+        return mdgame.cgt._simplest_between(lv, rv)
+
+    @functools.cache
+    def largest_nimber(g):
+        return max([nimber(g) or 0] + [largest_nimber(o) for o in lefts(g) + rights(g)])
+
+    return birthday, all_small, nimber, number, largest_nimber
+
+
+class TestStructuralFacts:
+    def test_facts_match_their_recursive_definitions(self):
+        ctx = make_context(max_component=14)
+        st, mf = ctx.store, Variant.MUTUAL_FAILURES
+        for n in range(2, 15):
+            ctx.atomic.atomic_weight(ctx.engine.game_of(path(n), mf))
+        for n in range(3, 7):
+            ctx.engine.game_of(wheel(n), Variant.CLASSIC)
+        for k in range(6):
+            st.nimber_game(k)
+        for k in range(-24, 25):
+            st.number_game(Fraction(k, 8))
+        for count in range(-3, 4):
+            for plus_star in (False, True):
+                st.ups_game(count, plus_star)
+        facts = (st.birthday, st.is_all_small, st.nimber_order, st.number_value,
+                 st.largest_nimber_in)
+        assert len(st) > 150
+        for g in range(len(st)):
+            assert [f(g) for f in facts] == [f(g) for f in recursive_facts(st)], g
+        assert {st.nimber_order(g) for g in range(len(st))} >= set(range(6))
+        assert max(map(st.largest_nimber_in, range(len(st)))) == 5
+
+    def test_facts_of_a_deep_chain_need_no_recursion(self):
+        st = GameStore()
+        g = st.zero
+        for _ in range(5000):
+            g = st.make_game([g], [])
+        assert st.birthday(g) == st.number_value(g) == 5000
+        assert st.nimber_order(g) is None and st.is_all_small(g) is False
+        assert AtomicCalculator(st).surrogate_order(g) == 2

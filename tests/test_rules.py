@@ -624,6 +624,24 @@ class TestCachePersistence:
         assert last.engine.game_of(path(4), Variant.FORBIDDEN_LEAF) == last.store.number_game(-1)
         assert last.engine.game_of(path(3), Variant.CLASSIC) == last.store.number_game(1)
 
+    def test_a_deep_forged_chain_loads_without_recursion(self, tmp_path):
+        # game i is {i-1|}, the integer i; path 3 classic names the last one.
+        # The file lies (path 3 is worth 1), but it must not crash the engine.
+        depth = 3000
+        payload = struct.pack("<I", depth) + struct.pack("<HH", 0, 0)
+        for i in range(1, depth):
+            payload += struct.pack("<HHI", 1, 0, i - 1)
+        key = canonical_key(path(3), Variant.CLASSIC)
+        payload += struct.pack("<IH", 1, len(key)) + key + struct.pack("<I", depth - 1)
+        forged = tmp_path / "forged.mdgc"
+        forged.write_bytes(rules._CACHE_MAGIC + struct.pack("<I", rules._CACHE_VERSION)
+                           + payload + struct.pack("<I", zlib.crc32(payload)))
+        ctx = make_context()
+        assert ctx.engine.load_cache(str(forged)) is True
+        g = ctx.engine.game_of(path(3), Variant.CLASSIC)
+        assert ctx.store.birthday(g) == ctx.store.number_value(g) == depth - 1
+        assert ctx.engine.outcome_of(path(3), Variant.CLASSIC) is Outcome.LEFT_WINS
+
     def test_partly_used_cache_keeps_every_entry(self, tmp_path):
         # every component of a path or cycle position is a path or a cycle,
         # so these graphs stand for every key the cache holds
