@@ -6,7 +6,8 @@ sets to canonical form (dominated options removed, reversible options
 bypassed), so handle equality coincides with game-value equality, and all
 downstream work (ordering, disjunctive sums, negation, outcome
 classification, value naming) runs on interned handles backed by the
-store's memo tables.
+store's memo tables.  One filter serves both sides: an option joins an
+antichain of undominated options, compared only with the ones kept so far.
 
 Sums feed ordering through cancellation: for short games x + y <= x + z
 exactly when y <= z.  add() records each sum g = a + b whose summands are
@@ -180,16 +181,21 @@ class GameStore:
             self._left.append(left)
             self._right.append(right)
             self._leq.append({})
-            opts = left + right  # interned before this game, so their facts are known
-            self._birthday.append(1 + max((self._birthday[o] for o in opts), default=-1))
-            small = bool(left) == bool(right) and all(self._all_small[o] for o in opts)
-            self._all_small.append(small)
-            orders = {self._nimber[o] for o in left}
-            nimber = len(left) if left == right and orders == set(range(len(left))) else None
+            birthday, all_small, largest = self._birthday, self._all_small, self._largest_nimber
+            day, small, inner = 0, bool(left) == bool(right), 0
+            for o in left + right:  # interned before this game, so their facts are known
+                if birthday[o] >= day:
+                    day = birthday[o] + 1
+                small = small and all_small[o]
+                if largest[o] > inner:
+                    inner = largest[o]
+            orders = {self._nimber[o] for o in left} if left == right else None
+            nimber = len(left) if orders == set(range(len(left))) else None
+            birthday.append(day)
+            all_small.append(small)
             self._nimber.append(nimber)
             self._number.append(self._number_from(left, right))
-            inner = max((self._largest_nimber[o] for o in opts), default=0)
-            self._largest_nimber.append(max(nimber or 0, inner))
+            largest.append(max(nimber or 0, inner))
         return gid
 
     def _number_from(self, left: tuple, right: tuple) -> Optional[Fraction]:
@@ -294,70 +300,53 @@ class GameStore:
 
     def make_game(self, left_options: Iterable[GameId], right_options: Iterable[GameId]) -> GameId:
         """Intern the canonical form of the game with the given option sets."""
-        left = self._maximal(tuple(sorted(set(left_options))))
-        right = self._minimal(tuple(sorted(set(right_options))))
-        # Removing a dominated option and bypassing a reversible one both keep
-        # the game's value, so an option once found not reversible stays so,
-        # and a bypass leaves the other side reduced.
-        firm_left, firm_right = set(), set()
+        # Left keeps its maximal options, Right its minimal ones; a bypass
+        # keeps the value, so the other side stays undominated
+        left = self._undominated(left_options, self.leq)
+        right = self._undominated(right_options, self._geq)
         for _ in range(_CANON_ITER_LIMIT):
-            replaced = self._bypass_left(left, right, firm_left)
+            replaced = self._bypass_left(left, right)
             if replaced is not None:
-                left = self._maximal(tuple(sorted(set(replaced))))
+                left = self._undominated(replaced, self.leq)
                 continue
-            replaced = self._bypass_right(left, right, firm_right)
+            replaced = self._bypass_right(left, right)
             if replaced is not None:
-                right = self._minimal(tuple(sorted(set(replaced))))
+                right = self._undominated(replaced, self._geq)
                 continue
             return self._intern(left, right)
         raise EngineError("canonicalization did not converge")
 
-    def _maximal(self, opts: tuple) -> tuple:
-        if len(opts) <= 1:
-            return opts
-        leq = self.leq
+    def _geq(self, a: GameId, b: GameId) -> bool:
+        return self.leq(b, a)
+
+    def _undominated(self, opts: Iterable[GameId], below) -> tuple:
+        """The distinct options no other dominates (below(x, y): y dominates
+        x), in handle order.  Domination is transitive and distinct handles
+        are distinct values, so each option meets only the antichain kept."""
         kept = []
-        for x in opts:
-            for y in opts:
-                if x != y and leq(x, y):
+        for x in sorted(set(opts)):
+            for k in kept:
+                if below(x, k):
                     break
             else:
+                kept = [k for k in kept if not below(k, x)]
                 kept.append(x)
         return tuple(kept)
 
-    def _minimal(self, opts: tuple) -> tuple:
-        if len(opts) <= 1:
-            return opts
-        leq = self.leq
-        kept = []
-        for x in opts:
-            for y in opts:
-                if x != y and leq(y, x):
-                    break
-            else:
-                kept.append(x)
-        return tuple(kept)
-
-    def _bypass_left(self, left: tuple, right: tuple, firm: set):
+    def _bypass_left(self, left: tuple, right: tuple):
         # A Left option l reverses out through any Right response lr <= {left|right};
         # it is replaced by lr's Left options.
         for i, l in enumerate(left):
-            if l in firm:
-                continue
             for lr in self._right[l]:
                 if self._leq_id_raw(lr, left, right):
                     return left[:i] + left[i + 1:] + self._left[lr]
-            firm.add(l)
         return None
 
-    def _bypass_right(self, left: tuple, right: tuple, firm: set):
+    def _bypass_right(self, left: tuple, right: tuple):
         for i, r in enumerate(right):
-            if r in firm:
-                continue
             for rl in self._left[r]:
                 if self._leq_raw_id(left, right, rl):
                     return right[:i] + right[i + 1:] + self._right[rl]
-            firm.add(r)
         return None
 
     def _leq_id_raw(self, x: GameId, left: tuple, right: tuple) -> bool:

@@ -218,8 +218,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
     Each splitter in turn (the list grows in place) splits every cell by
     its vertices' neighbor counts in the splitter; pieces replace the cell
-    in increasing count order and become splitters, so the result is
-    label-invariant.  A one-vertex splitter's counts are 0 or 1, so it
+    in increasing count order, so the result is label-invariant.  All but
+    the last piece become splitters: the last's counts are the cell's,
+    constant by then, minus its siblings', processed just before it, so it
+    would split nothing.  A one-vertex splitter's counts are 0 or 1, so it
     splits each cell by that vertex's row alone.  Sound for the search's
     two calls: all vertices as one cell and splitter, and an equitable
     partition with v split off a cell and {v} as splitter.
@@ -245,7 +247,7 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                     pieces = [parts[k] for k in sorted(parts)]
             if pieces:
                 out += pieces
-                splitters += pieces
+                splitters += pieces[:-1]  # the last splits nothing, see above
             else:
                 out.append(cell)
         cells = out

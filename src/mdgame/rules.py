@@ -308,7 +308,8 @@ class GraphGameEngine:
         """Read a cache file into an engine that holds no loaded game and no
         value yet (RuntimeError otherwise), so the file's indices stay the
         engine's.  Returns False, leaving the engine as it was, on any
-        version or structural mismatch.  Entries are not built until used."""
+        version or structural mismatch, or an entry deeper than its position
+        has edges.  Entries are not built until used."""
         if self._disk or self._values:
             raise RuntimeError("load_cache must come first: one file, into an engine "
                                "that has loaded and valued nothing")
@@ -331,13 +332,17 @@ class GraphGameEngine:
             (ngames,) = struct.unpack_from("<I", payload, pos)
             pos += 4
             games: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            depths: list[int] = []
             for _ in range(ngames):
                 nl, nr = struct.unpack_from("<HH", payload, pos)
                 pos += 4
                 opts = struct.unpack_from(f"<{nl + nr}I", payload, pos)
                 pos += 4 * (nl + nr)
-                if any(i >= len(games) for i in opts):
-                    return False  # options must precede parents
+                depth = 0  # options must precede their game, or depths[i] raises IndexError
+                for i in opts:
+                    if depths[i] >= depth:
+                        depth = depths[i] + 1
+                depths.append(depth)
                 games.append((opts[:nl], opts[nl:]))
             (nentries,) = struct.unpack_from("<I", payload, pos)
             pos += 4
@@ -350,6 +355,9 @@ class GraphGameEngine:
                 (idx,) = struct.unpack_from("<I", payload, pos)
                 pos += 4
                 if len(key) != klen or idx >= ngames:
+                    return False
+                # every move deletes an edge: no value is deeper than its form has edges
+                if depths[idx] > int.from_bytes(key[2:], "big").bit_count():
                     return False
                 entries.append((key, idx))
             if pos != len(payload):

@@ -18,13 +18,7 @@ from typing import NamedTuple, Optional
 from .cgt import Comparison, EngineError, Outcome
 from .families import FamilyKind, FamilySpec, build
 from .graphs import connected_graphs
-from .rules import (
-    EngineContext,
-    Player,
-    Variant,
-    make_context,
-    variant_moves,
-)
+from .rules import EngineContext, Variant, _orbit_moves, make_context
 
 
 class CrossCheckFailure(EngineError):
@@ -298,22 +292,16 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     t0 = time.perf_counter()
     report = CheckReport(name="bias-props", scope=f"connected graphs, n<={max_vertices}")
     reps = connected_graphs(max_vertices)
-    # only whether a move exists matters, so no automorphisms are needed
+    # only whether a move exists matters, so no automorphisms are needed;
+    # classic Left deletes inner vertices and leaves, fl inner vertices only
     for n in sorted(reps):
-        classic_bad = []
-        fl_bad = []
-        for g in reps[n]:
-            right_ok = bool(variant_moves(g, Player.RIGHT, Variant.CLASSIC, ()))
-            left_ok = bool(variant_moves(g, Player.LEFT, Variant.CLASSIC, ()))
-            if right_ok and not left_ok:
-                classic_bad.append(g)
-            fl_left = bool(variant_moves(g, Player.LEFT, Variant.FORBIDDEN_LEAF, ()))
-            if fl_left and not right_ok:
-                fl_bad.append(g)
+        moves = [_orbit_moves(g, ()) for g in reps[n]]
+        classic_bad = sum(bool(edges and not (inner or ends)) for inner, ends, edges in moves)
+        fl_bad = sum(bool(inner and not edges) for inner, _, edges in moves)
         ok = not classic_bad and not fl_bad
         note = ""
         if not ok:
-            note = f"{len(classic_bad)} classic / {len(fl_bad)} fl counterexamples"
+            note = f"{classic_bad} classic / {fl_bad} fl counterexamples"
         report.rows.append(CheckRow(
             instance=f"n={n} ({len(reps[n])} graphs)",
             computed="no counterexamples" if ok else "counterexamples found",

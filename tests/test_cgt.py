@@ -70,6 +70,50 @@ class TestMakeGame:
         assert st.left_options(g) == tuple(sorted(st.left_options(g)))
 
 
+class TestUndominated:
+    @staticmethod
+    def double_loop(opts, below):
+        """Every distinct option no other option dominates, by comparing all pairs."""
+        opts = set(opts)
+        return tuple(sorted(x for x in opts if not any(y != x and below(x, y) for y in opts)))
+
+    def test_matches_a_double_loop_on_random_option_sets(self):
+        ctx = make_context()
+        st = ctx.store
+        for n in range(2, 13):
+            ctx.atomic.atomic_weight(ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES))
+        for variant in Variant:
+            for n in range(3, 7):
+                ctx.engine.game_of(wheel(n), variant)
+        for k in range(-8, 9):
+            st.number_game(Fraction(k, 4))
+        assert len(st) > 250
+        rng = random.Random(17)
+        widest = 0
+        for _ in range(500):
+            opts = [rng.randrange(len(st)) for _ in range(rng.randint(0, 12))]
+            for below in (st.leq, lambda x, y: st.leq(y, x)):
+                kept = st._undominated(opts, below)
+                assert kept == self.double_loop(opts, below)
+                widest = max(widest, len(kept))
+        assert widest >= 3  # some sets keep incomparable options
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_a_chain_costs_at_most_two_comparisons_an_option(self, left):
+        # a double loop over the 20 integers 0..19 makes 209 comparisons
+        # for Left and 38 for Right
+        st = GameStore()
+        chain = [st.number_game(k) for k in range(20)]
+        calls = []
+
+        def below(x, y):
+            calls.append((x, y))
+            return st.leq(x, y) if left else st.leq(y, x)
+
+        assert st._undominated(chain[::-1] + chain, below) == (chain[-1] if left else chain[0],)
+        assert len(calls) <= 38
+
+
 def test_day_two_universe_has_22_games():
     st = GameStore()
     day1 = {st.zero, st.star, st.number_game(1), st.number_game(-1)}

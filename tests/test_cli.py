@@ -16,6 +16,8 @@ from mdgame.cli import (
     parse_graph_input,
 )
 from mdgame.families import FamilyKind, FamilySpec, build, path
+from mdgame.rules import Variant, canonical_key
+from test_rules import forged_chain
 
 
 # ----------------------------------------------------------------------
@@ -346,5 +348,15 @@ class TestCacheFlag:
                      "--cache", str(cache)]) == 0
         out, err = capsys.readouterr()
         assert "value: ↑" in out
+        assert err == (f"warning: value cache {cache} not loaded (wrong format, "
+                       "version or checksum); it will be overwritten\n")
+
+    def test_a_chain_deeper_than_its_position_is_ignored(self, tmp_path, capsys):
+        # 49 deep, keyed to classic path 3 (2 edges), whose value is 1
+        cache = tmp_path / "values.mdgc"
+        cache.write_bytes(forged_chain(50, canonical_key(path(3), Variant.CLASSIC)))
+        assert main(["value", "path 3", "--cache", str(cache)]) == 0
+        out, err = capsys.readouterr()
+        assert "value: 1\n" in out
         assert err == (f"warning: value cache {cache} not loaded (wrong format, "
                        "version or checksum); it will be overwritten\n")

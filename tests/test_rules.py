@@ -480,6 +480,17 @@ def engine_state(engine) -> tuple:
 COLD = engine_state(make_context().engine)
 
 
+def forged_chain(depth: int, key: bytes) -> bytes:
+    """A re-sealed cache file of depth games, game i being {i-1|}, the
+    integer i, and one entry naming the last of them for key."""
+    payload = struct.pack("<I", depth) + struct.pack("<HH", 0, 0)
+    for i in range(1, depth):
+        payload += struct.pack("<HHI", 1, 0, i - 1)
+    payload += struct.pack("<IH", 1, len(key)) + key + struct.pack("<I", depth - 1)
+    return (rules._CACHE_MAGIC + struct.pack("<I", rules._CACHE_VERSION)
+            + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
         ctx = make_context()
@@ -625,22 +636,39 @@ class TestCachePersistence:
         assert last.engine.game_of(path(3), Variant.CLASSIC) == last.store.number_game(1)
 
     def test_a_deep_forged_chain_loads_without_recursion(self, tmp_path):
-        # game i is {i-1|}, the integer i; path 3 classic names the last one.
-        # The file lies (path 3 is worth 1), but it must not crash the engine.
-        depth = 3000
-        payload = struct.pack("<I", depth) + struct.pack("<HH", 0, 0)
-        for i in range(1, depth):
-            payload += struct.pack("<HHI", 1, 0, i - 1)
-        key = canonical_key(path(3), Variant.CLASSIC)
-        payload += struct.pack("<IH", 1, len(key)) + key + struct.pack("<I", depth - 1)
+        # K50 has 1,225 edges, so a chain 1,200 deep, past the recursion
+        # limit, is within the depth bound.  Its form is written by hand, as
+        # labeling K50 is far too slow for a test.  The file lies, but it
+        # must not crash the engine.
+        n, edges = 50, 50 * 49 // 2
+        form = bytes([n]) + ((1 << edges) - 1).to_bytes((edges + 7) // 8, "big")
+        depth = 1200
         forged = tmp_path / "forged.mdgc"
-        forged.write_bytes(rules._CACHE_MAGIC + struct.pack("<I", rules._CACHE_VERSION)
-                           + payload + struct.pack("<I", zlib.crc32(payload)))
+        forged.write_bytes(forged_chain(depth, Variant.CLASSIC.tag + form))
         ctx = make_context()
         assert ctx.engine.load_cache(str(forged)) is True
-        g = ctx.engine.game_of(path(3), Variant.CLASSIC)
+        g = ctx.engine._value(form, Variant.CLASSIC)
         assert ctx.store.birthday(g) == ctx.store.number_value(g) == depth - 1
-        assert ctx.engine.outcome_of(path(3), Variant.CLASSIC) is Outcome.LEFT_WINS
+        assert ctx.store.outcome(g) is Outcome.LEFT_WINS
+
+    @pytest.mark.parametrize("depth", [4, 50, 3000])
+    def test_a_chain_deeper_than_its_position_is_rejected(self, tmp_path, depth):
+        # path 3 has 2 edges, so no value of it is deeper than 2; the last of
+        # depth chained games is depth - 1 deep
+        forged = tmp_path / "forged.mdgc"
+        forged.write_bytes(forged_chain(depth, canonical_key(path(3), Variant.CLASSIC)))
+        ctx = make_context()
+        assert ctx.engine.load_cache(str(forged)) is False
+        assert engine_state(ctx.engine) == COLD
+        assert ctx.engine.game_of(path(3), Variant.CLASSIC) == ctx.store.number_game(1)
+
+    def test_a_chain_as_deep_as_its_position_loads(self, tmp_path):
+        # the bound catches depth, not every lie: {1|} = 2 is 2 deep
+        forged = tmp_path / "forged.mdgc"
+        forged.write_bytes(forged_chain(3, canonical_key(path(3), Variant.CLASSIC)))
+        ctx = make_context()
+        assert ctx.engine.load_cache(str(forged)) is True
+        assert ctx.engine.game_of(path(3), Variant.CLASSIC) == ctx.store.number_game(2)
 
     def test_partly_used_cache_keeps_every_entry(self, tmp_path):
         # every component of a path or cycle position is a path or a cycle,
