@@ -175,8 +175,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 def _make_context(args: argparse.Namespace) -> EngineContext:
     ctx = make_context(max_component=args.max_component, memo_cap=args.memo_cap)
     if args.cache and os.path.exists(args.cache) and not ctx.engine.load_cache(args.cache):
-        print(f"warning: value cache {args.cache} not loaded (wrong format, version "
-              "or checksum); it will be overwritten", file=sys.stderr)
+        print(f"warning: value cache {args.cache} not loaded ({ctx.engine.load_error}); "
+              "it will be overwritten", file=sys.stderr)
     return ctx
 
 

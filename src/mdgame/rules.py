@@ -23,10 +23,12 @@ for all three variants: the orbit moves of its first fully searched graph
 become their results' forms, classic uses them all, fl drops Left's leaf
 deletions, and mf closes the class, labeling no child, when a side has
 none.  Labeling a graph of a known class stops at the first search leaf
-with a known form.  The engine alone enforces the component size limit;
-graphs keeps no state.  A separate brute-force referee (Oracle) replays
-whole labeled graphs by alternating minimax without touching game values
-or canonical forms; it exists to cross-check the engine.
+with a known form.  A loaded value cache stays the file's bytes, each game
+built from them on first use, and a save copies them verbatim.  The engine
+alone enforces the component size limit; graphs keeps no state.  A
+separate brute-force referee (Oracle) replays whole labeled graphs by
+alternating minimax without touching game values or canonical forms; it
+exists to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import operator
 import os
 import struct
 import zlib
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -154,7 +158,11 @@ _CACHE_VERSION = 3
 
 
 class GraphGameEngine:
-    """Computes canonical game values of graph positions for each variant."""
+    """Computes canonical game values of graph positions for each variant.
+
+    A loaded value cache is the file's bytes and two offset tables: a
+    value-memo miss bisects its sorted keys, an entry's games go through
+    make_game on first use, and save_cache splices new values into it."""
 
     def __init__(self, store: GameStore, max_component: int = DEFAULT_COMPONENT_LIMIT):
         self.store = store
@@ -168,11 +176,15 @@ class GraphGameEngine:
         # its result's _components entry
         self._classes: dict[bytes, tuple] = {}
         self._values: dict[bytes, GameId] = {}
-        # loaded cache entries stay raw until first use: each disk game's
-        # option indices, its store handle once built, and key -> disk index
-        self._disk: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # a loaded cache file stays its bytes until used: the offsets of its
+        # game records and of its entry records, each table closed by its
+        # section's end (no file reads as an empty one), and each file game's
+        # store handle once built
+        self._file = b""
+        self._games = array("I", [0])
+        self._entries = array("I", [0])
         self._disk_ids: list[Optional[GameId]] = []
-        self._pending: dict[bytes, int] = {}
+        self.load_error: Optional[str] = None  # why the last load_cache returned False
 
     def game_of(self, g: Graph, variant: Variant) -> GameId:
         """Canonical value of a position: sum of its component values."""
@@ -219,7 +231,7 @@ class GraphGameEngine:
         hit = self._values.get(key)
         if hit is not None:
             return hit
-        loaded = self._pending.get(key)
+        loaded = self._find(key)[1]
         if loaded is not None:
             value = self._materialize(loaded)
         else:
@@ -236,7 +248,6 @@ class GraphGameEngine:
                 value = self.store.make_game([self._sum(r, variant) for r in lefts],
                                              [self._sum(r, variant) for r in edges])
         self.store._memo_put(self._values, key, value)
-        self._pending.pop(key, None)
         return value
 
     def _materialize(self, i: int) -> GameId:
@@ -244,7 +255,7 @@ class GraphGameEngine:
         recursion would, but from a stack: a deep chain cannot overflow."""
         ids, stack = self._disk_ids, [i]
         while stack:
-            lo, ro = self._disk[stack[-1]]
+            lo, ro = self._options(stack[-1])
             todo = [k for k in lo + ro if ids[k] is None]
             if todo:
                 stack += reversed(todo)
@@ -253,6 +264,27 @@ class GraphGameEngine:
             if ids[j] is None:
                 ids[j] = self.store.make_game([ids[k] for k in lo], [ids[k] for k in ro])
         return ids[i]
+
+    def _options(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Loaded game i's left and right option indices, read from the file."""
+        at = self._games[i]
+        nl, nr = struct.unpack_from("<HH", self._file, at)
+        opts = struct.unpack_from(f"<{nl + nr}I", self._file, at + 4)
+        return opts[:nl], opts[nl:]
+
+    def _key_at(self, at: int) -> bytes:
+        """The key of the loaded entry record at offset at."""
+        file = self._file
+        return file[at + 2:at + 2 + (file[at] | file[at + 1] << 8)]
+
+    def _find(self, key: bytes) -> tuple[int, Optional[int]]:
+        """Where key's record is, or would go, among the loaded entries, and
+        its game's file index if it is there; the keys ascend, so bisect."""
+        offs, n = self._entries, len(self._entries) - 1
+        j = bisect_left(offs, key, 0, n, key=self._key_at)
+        if j == n or self._key_at(offs[j]) != key:
+            return j, None
+        return j, struct.unpack_from("<I", self._file, offs[j] + 2 + len(key))[0]
 
     def outcome_of(self, g: Graph, variant: Variant) -> Outcome:
         return self.store.outcome(self.game_of(g, variant))
@@ -264,14 +296,16 @@ class GraphGameEngine:
     def save_cache(self, path: str) -> None:
         """Serialize the ComponentKey -> value memo plus the games it needs.
 
-        The loaded file's games come first, unchanged and at their file
-        indices, built or not; a built one stands for its store game.  The
-        store games the memo reaches that have no index yet follow, in
-        handle order, so options precede their parents.  Entries never used
-        keep their file indices, so an engine that has only loaded one file
-        saves the same bytes again.
+        The loaded file's game records come first, copied verbatim, so its
+        games keep their indices, built or not; a built one stands for its
+        store game.  The store games the memo reaches that have no index yet
+        follow, in handle order, so options precede their parents.  The
+        entries are the file's, copied in verbatim runs, with each memo
+        entry's record spliced in at its key's place, replacing the file's
+        record of that key; so no value is lost, and an engine that has only
+        loaded one file, or built only its entries, saves the same bytes.
         """
-        store = self.store
+        store, file = self.store, memoryview(self._file)
         index: dict[GameId, int] = {}
         for i, g in enumerate(self._disk_ids):
             if g is not None:
@@ -283,91 +317,96 @@ class GraphGameEngine:
             if g not in index and g not in new:
                 new.add(g)
                 roots.extend(store.left_options(g) + store.right_options(g))
-        games = list(self._disk)
+        games, offs = self._games, self._entries
+        ngames, records = len(games) - 1, [file[games[0]:games[-1]]]
         for g in sorted(new):
-            index[g] = len(games)
-            games.append(([index[o] for o in store.left_options(g)],
-                          [index[o] for o in store.right_options(g)]))
-        payload = bytearray(struct.pack("<I", len(games)))
-        for lo, ro in games:
-            payload += struct.pack(f"<HH{len(lo) + len(ro)}I", len(lo), len(ro), *lo, *ro)
-        entries = dict(self._pending)
-        entries.update((key, index[v]) for key, v in self._values.items())
-        payload += struct.pack("<I", len(entries))
-        for key, i in sorted(entries.items()):
-            payload += struct.pack("<H", len(key)) + key + struct.pack("<I", i)
-
-        blob = _CACHE_MAGIC + struct.pack("<I", _CACHE_VERSION) + bytes(payload)
-        blob += struct.pack("<I", zlib.crc32(bytes(payload)))
+            index[g], ngames = ngames, ngames + 1
+            lo, ro = store.left_options(g), store.right_options(g)
+            records.append(struct.pack(f"<HH{len(lo) + len(ro)}I", len(lo), len(ro),
+                                       *[index[o] for o in lo + ro]))
+        nentries, at, entries = len(offs) - 1, 0, []
+        for key, value in sorted(self._values.items()):
+            j, old = self._find(key)
+            entries += [file[offs[at]:offs[j]],
+                        struct.pack("<H", len(key)) + key + struct.pack("<I", index[value])]
+            at, nentries = j + (old is not None), nentries + (old is None)
+        entries.append(file[offs[at]:offs[-1]])
+        payload = [struct.pack("<I", ngames), *records, struct.pack("<I", nentries), *entries]
+        crc = 0
+        for part in payload:
+            crc = zlib.crc32(part, crc)
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.write(_CACHE_MAGIC + struct.pack("<I", _CACHE_VERSION))
+            fh.writelines(payload)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
 
     def load_cache(self, path: str) -> bool:
         """Read a cache file into an engine that holds no loaded game and no
         value yet (RuntimeError otherwise), so the file's indices stay the
-        engine's.  Returns False, leaving the engine as it was, on any
-        version or structural mismatch, or an entry deeper than its position
-        has edges.  Entries are not built until used."""
-        if self._disk or self._values:
+        engine's.  Returns False, leaving the engine as it was and the reason
+        in load_error, on any version or structural mismatch, keys that do
+        not strictly ascend, or an entry deeper than its position has edges.
+        The engine keeps the file's bytes and two offset tables; entries are
+        not built until used."""
+        if self._disk_ids or self._values:
             raise RuntimeError("load_cache must come first: one file, into an engine "
                                "that has loaded and valued nothing")
+
+        def reject(reason: str) -> bool:
+            self.load_error = reason
+            return False
+
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-        except OSError:
-            return False
+        except OSError as e:
+            return reject(f"unreadable: {e.strerror}")
+        view = memoryview(blob)[:-4]  # the header and payload: reads past it raise
         try:
             if blob[:4] != _CACHE_MAGIC:
-                return False
+                return reject("not a value cache")
             (version,) = struct.unpack_from("<I", blob, 4)
             if version != _CACHE_VERSION:
-                return False
-            payload = blob[8:-4]
-            (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-            if zlib.crc32(payload) != crc:
-                return False
-            pos = 0
-            (ngames,) = struct.unpack_from("<I", payload, pos)
-            pos += 4
-            games: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            depths: list[int] = []
+                return reject(f"version {version}, not {_CACHE_VERSION}")
+            if zlib.crc32(view[8:]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+                return reject("checksum mismatch")
+            (ngames,) = struct.unpack_from("<I", view, 8)
+            pos, games, depths = 12, array("I"), array("I")
             for _ in range(ngames):
-                nl, nr = struct.unpack_from("<HH", payload, pos)
-                pos += 4
-                opts = struct.unpack_from(f"<{nl + nr}I", payload, pos)
-                pos += 4 * (nl + nr)
+                games.append(pos)
+                nl, nr = struct.unpack_from("<HH", view, pos)
+                opts = struct.unpack_from(f"<{nl + nr}I", view, pos + 4)
+                pos += 4 + 4 * (nl + nr)
                 depth = 0  # options must precede their game, or depths[i] raises IndexError
                 for i in opts:
                     if depths[i] >= depth:
                         depth = depths[i] + 1
                 depths.append(depth)
-                games.append((opts[:nl], opts[nl:]))
-            (nentries,) = struct.unpack_from("<I", payload, pos)
-            pos += 4
-            entries: list[tuple[bytes, int]] = []
+            games.append(pos)
+            (nentries,) = struct.unpack_from("<I", view, pos)
+            pos, entries, key = pos + 4, array("I"), b""
             for _ in range(nentries):
-                (klen,) = struct.unpack_from("<H", payload, pos)
-                pos += 2
-                key = payload[pos:pos + klen]
-                pos += klen
-                (idx,) = struct.unpack_from("<I", payload, pos)
-                pos += 4
-                if len(key) != klen or idx >= ngames:
-                    return False
+                entries.append(pos)
+                (klen,) = struct.unpack_from("<H", view, pos)
+                (idx,) = struct.unpack_from("<I", view, pos + 2 + klen)
+                prev, key = key, blob[pos + 2:pos + 2 + klen]
+                if len(entries) > 1 and key <= prev:
+                    return reject("keys out of order")
+                pos += 6 + klen
                 # every move deletes an edge: no value is deeper than its form has edges
                 if depths[idx] > int.from_bytes(key[2:], "big").bit_count():
-                    return False
-                entries.append((key, idx))
-            if pos != len(payload):
-                return False
+                    return reject("an entry deeper than its position has edges")
+            entries.append(pos)
+            if pos != len(view):
+                return reject("bad layout")
         except (struct.error, IndexError):
-            return False
+            return reject("bad layout")
         # games are canonicalized into the store on first use
-        self._disk = games
+        self._file, self._games, self._entries = blob, games, entries
         self._disk_ids = [None] * ngames
-        self._pending = dict(entries)
+        self.load_error = None
         return True
 
 

@@ -348,8 +348,21 @@ class TestCacheFlag:
                      "--cache", str(cache)]) == 0
         out, err = capsys.readouterr()
         assert "value: ↑" in out
-        assert err == (f"warning: value cache {cache} not loaded (wrong format, "
-                       "version or checksum); it will be overwritten\n")
+        assert err == (f"warning: value cache {cache} not loaded (version 65283, "
+                       "not 3); it will be overwritten\n")
+
+    def test_a_flipped_checksum_is_named(self, tmp_path, capsys):
+        cache = tmp_path / "values.mdgc"
+        main(["value", "path 7", "--variant", "mf", "--cache", str(cache)])
+        capsys.readouterr()
+        blob = bytearray(cache.read_bytes())
+        blob[-1] ^= 0xFF
+        cache.write_bytes(bytes(blob))
+        assert main(["value", "path 7", "--variant", "mf", "--cache", str(cache)]) == 0
+        out, err = capsys.readouterr()
+        assert "value: ↑" in out
+        assert err == (f"warning: value cache {cache} not loaded (checksum "
+                       "mismatch); it will be overwritten\n")
 
     def test_a_chain_deeper_than_its_position_is_ignored(self, tmp_path, capsys):
         # 49 deep, keyed to classic path 3 (2 edges), whose value is 1
@@ -358,5 +371,5 @@ class TestCacheFlag:
         assert main(["value", "path 3", "--cache", str(cache)]) == 0
         out, err = capsys.readouterr()
         assert "value: 1\n" in out
-        assert err == (f"warning: value cache {cache} not loaded (wrong format, "
-                       "version or checksum); it will be overwritten\n")
+        assert err == (f"warning: value cache {cache} not loaded (an entry deeper "
+                       "than its position has edges); it will be overwritten\n")

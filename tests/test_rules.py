@@ -5,6 +5,7 @@ import itertools
 import random
 import struct
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -472,9 +473,14 @@ class TestHistoryIndependentText:
 # ----------------------------------------------------------------------
 
 def engine_state(engine) -> tuple:
-    """Everything a cache load may change."""
-    return (dict(engine._values), dict(engine._pending),
-            list(engine._disk), list(engine._disk_ids))
+    """Everything a cache load may change but load_error."""
+    return (dict(engine._values), engine._file, list(engine._games),
+            list(engine._entries), list(engine._disk_ids))
+
+
+def file_keys(engine) -> list[bytes]:
+    """The keys of the loaded file's entries, in file order."""
+    return [engine._key_at(at) for at in engine._entries[:-1]]
 
 
 COLD = engine_state(make_context().engine)
@@ -491,6 +497,32 @@ def forged_chain(depth: int, key: bytes) -> bytes:
             + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
+def entry_records(blob: bytes) -> tuple[int, list[tuple[bytes, int]]]:
+    """Where a cache file's entry section starts, and its (key, game index)
+    records in file order."""
+    (ngames,) = struct.unpack_from("<I", blob, 8)
+    pos = 12
+    for _ in range(ngames):
+        nl, nr = struct.unpack_from("<HH", blob, pos)
+        pos += 4 + 4 * (nl + nr)
+    start, records = pos, []
+    (nentries,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(nentries):
+        (klen,) = struct.unpack_from("<H", blob, pos)
+        records.append((blob[pos + 2:pos + 2 + klen],
+                        struct.unpack_from("<I", blob, pos + 2 + klen)[0]))
+        pos += 6 + klen
+    return start, records
+
+
+def resealed(blob: bytes, start: int, records: list[tuple[bytes, int]]) -> bytes:
+    """blob with its entry section replaced by records and a valid checksum."""
+    payload = blob[8:start] + struct.pack("<I", len(records)) + b"".join(
+        struct.pack("<H", len(key)) + key + struct.pack("<I", i) for key, i in records)
+    return blob[:8] + payload + struct.pack("<I", zlib.crc32(payload))
+
+
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
         ctx = make_context()
@@ -502,8 +534,8 @@ class TestCachePersistence:
 
         fresh = make_context()
         assert fresh.engine.load_cache(str(cache)) is True
-        known = set(fresh.engine._values) | set(fresh.engine._pending)
-        assert known == set(ctx.engine._values)
+        assert fresh.engine._values == {}
+        assert set(file_keys(fresh.engine)) == set(ctx.engine._values)
         # entries are built on first use; until then a save rewrites the file
         again = tmp_path / "again.mdgc"
         fresh.engine.save_cache(str(again))
@@ -524,8 +556,8 @@ class TestCachePersistence:
         cache.write_bytes(bytes(blob))
         fresh = make_context()
         assert fresh.engine.load_cache(str(cache)) is False
-        assert fresh.engine._values == {}
-        assert fresh.engine._pending == {} and fresh.engine._disk == []
+        assert fresh.engine.load_error == "checksum mismatch"
+        assert engine_state(fresh.engine) == COLD
 
     def test_wrong_magic_and_version_rejected(self, tmp_path):
         ctx = make_context()
@@ -540,7 +572,9 @@ class TestCachePersistence:
         bad_version.write_bytes(blob[:4] + b"\xff\xff\xff\xff" + blob[8:])
         fresh = make_context()
         assert fresh.engine.load_cache(str(bad_magic)) is False
+        assert fresh.engine.load_error == "not a value cache"
         assert fresh.engine.load_cache(str(bad_version)) is False
+        assert fresh.engine.load_error == "version 4294967295, not 3"
 
     def test_previous_version_rejected(self, tmp_path):
         # version 2 files hold keys from the old canonical labeling; their
@@ -554,11 +588,15 @@ class TestCachePersistence:
         old.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
         fresh = make_context()
         assert fresh.engine.load_cache(str(old)) is False
+        assert fresh.engine.load_error == "version 2, not 3"
         assert engine_state(fresh.engine) == COLD
         assert fresh.engine.load_cache(str(cache)) is True  # the same file at version 3
+        assert fresh.engine.load_error is None
 
     def test_missing_file(self, tmp_path):
-        assert make_context().engine.load_cache(str(tmp_path / "nope")) is False
+        engine = make_context().engine
+        assert engine.load_cache(str(tmp_path / "nope")) is False
+        assert engine.load_error == "unreadable: No such file or directory"
 
     def test_truncated_and_bit_flipped_files_are_rejected(self, tmp_path):
         ctx = make_context()
@@ -579,8 +617,7 @@ class TestCachePersistence:
         for data in damaged:
             bad.write_bytes(data)
             assert fresh.engine.load_cache(str(bad)) is False
-            assert fresh.engine._values == {}
-            assert fresh.engine._pending == {} and fresh.engine._disk == fresh.engine._disk_ids == []
+            assert engine_state(fresh.engine) == COLD
 
     def test_malformed_files_with_a_valid_checksum_are_rejected(self, tmp_path):
         ctx = make_context()
@@ -609,6 +646,7 @@ class TestCachePersistence:
             bad.write_bytes(blob[:8] + body + struct.pack("<I", zlib.crc32(body)))
             fresh = make_context()
             assert fresh.engine.load_cache(str(bad)) is False
+            assert fresh.engine.load_error == "bad layout"
             assert engine_state(fresh.engine) == COLD
         assert make_context().engine.load_cache(str(cache)) is True
 
@@ -625,7 +663,7 @@ class TestCachePersistence:
         forger.engine.save_cache(str(cache))
         fresh = make_context()
         assert fresh.engine.load_cache(str(cache)) is True
-        assert len(fresh.engine._disk[fresh.engine._pending[key]][0]) == 2
+        assert len(fresh.engine._options(fresh.engine._find(key)[1])[0]) == 2
         assert fresh.engine.game_of(path(3), Variant.CLASSIC) == fresh.store.number_game(1)
         # -1 is built now but unreachable from the memo; a save must keep it
         resaved = tmp_path / "resaved.mdgc"
@@ -659,6 +697,7 @@ class TestCachePersistence:
         forged.write_bytes(forged_chain(depth, canonical_key(path(3), Variant.CLASSIC)))
         ctx = make_context()
         assert ctx.engine.load_cache(str(forged)) is False
+        assert ctx.engine.load_error == "an entry deeper than its position has edges"
         assert engine_state(ctx.engine) == COLD
         assert ctx.engine.game_of(path(3), Variant.CLASSIC) == ctx.store.number_game(1)
 
@@ -689,19 +728,20 @@ class TestCachePersistence:
         used.engine.game_of(path(6), Variant.MUTUAL_FAILURES)
         used.engine.game_of(cycle(5), Variant.CLASSIC)
         used.engine.game_of(path(4), Variant.FORBIDDEN_LEAF)
-        assert len(used.engine._values) == 3 and len(used.engine._pending) == len(keys) - 3
+        assert len(used.engine._values) == 3 and set(used.engine._values) < keys
+        assert set(file_keys(used.engine)) == keys
         resaved = tmp_path / "resaved.mdgc"
         used.engine.save_cache(str(resaved))
 
         last = make_context()
         assert last.engine.load_cache(str(resaved)) is True
-        assert set(last.engine._values) | set(last.engine._pending) == keys
+        assert file_keys(last.engine) == sorted(keys)
         scratch = make_context()  # values from the rules alone
         for key in sorted(keys):
             g, variant = graphs[key]
             got = transplant(last.store, scratch.store, last.engine.game_of(g, variant), {})
             assert got == scratch.engine.game_of(g, variant)
-        assert last.engine._pending == {}
+        assert set(last.engine._values) == keys
 
     def test_load_must_come_first(self, tmp_path):
         ctx = make_context()
@@ -745,12 +785,12 @@ class TestCachePersistence:
 
         last = make_context()
         assert last.engine.load_cache(str(resaved)) is True
-        keys = set(used.engine._values) | set(used.engine._pending)
-        assert set(last.engine._pending) == keys > set(ctx.engine._values)
+        keys = set(used.engine._values) | set(file_keys(used.engine))
+        assert set(file_keys(last.engine)) == keys > set(ctx.engine._values)
 
         def served(engine, key):
             hit = engine._values.get(key)
-            return engine._materialize(engine._pending[key]) if hit is None else hit
+            return engine._materialize(engine._find(key)[1]) if hit is None else hit
 
         for key in sorted(keys):
             got = transplant(last.store, used.store, served(last.engine, key), {})
@@ -779,3 +819,89 @@ class TestCachePersistence:
         tables = [t for t in vars(capped.store).values() if isinstance(t, dict)]
         assert tables and all(len(t) <= cap for t in tables)
         assert sum(map(len, capped.store._leq)) <= cap  # the comparison rows are one table
+
+    @pytest.mark.parametrize("fault", ["swapped", "duplicate"])
+    def test_entries_out_of_key_order_are_rejected(self, tmp_path, fault):
+        ctx = make_context()
+        for n in range(2, 7):
+            ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
+        start, records = entry_records(blob)
+        assert len(records) > 3
+        if fault == "swapped":
+            records[1], records[2] = records[2], records[1]
+        else:
+            records[2] = records[1]
+        bad = tmp_path / "bad.mdgc"
+        bad.write_bytes(resealed(blob, start, records))
+        fresh = make_context()
+        assert fresh.engine.load_cache(str(bad)) is False
+        assert fresh.engine.load_error == "keys out of order"
+        assert engine_state(fresh.engine) == COLD
+        assert fresh.engine.load_cache(str(cache)) is True
+
+    def test_a_load_keeps_little_more_than_the_file(self, tmp_path):
+        # the file's bytes, two offset tables and a slot per game: a load
+        # that built an object per game or entry kept over 10 times the file
+        ctx = make_context()
+        for variant in ALL_VARIANTS:
+            for n in range(3, 7):
+                ctx.engine.game_of(wheel(n), variant)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        size = cache.stat().st_size
+        fresh = make_context()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert fresh.engine.load_cache(str(cache)) is True
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(file_keys(fresh.engine)) > 100
+        assert kept - before < 3 * size
+        assert peak - before < 3 * size
+
+    def test_a_save_splices_new_entries_into_the_file(self, tmp_path):
+        ctx = make_context()
+        for variant in (Variant.CLASSIC, Variant.MUTUAL_FAILURES):
+            for n in range(2, 9):
+                ctx.engine.game_of(path(n), variant)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        blob = cache.read_bytes()
+
+        used = make_context()
+        assert used.engine.load_cache(str(cache)) is True
+        for n in (3, 5, 8):  # built from the file, so nothing to add
+            used.engine.game_of(path(n), Variant.CLASSIC)
+            used.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
+        assert len(used.engine._values) == 6
+        same = tmp_path / "same.mdgc"
+        used.engine.save_cache(str(same))
+        assert same.read_bytes() == blob
+
+        # every component of classic path 9's options is a path in the file
+        new = canonical_key(path(9), Variant.CLASSIC)
+        value = used.engine.game_of(path(9), Variant.CLASSIC)
+        assert set(used.engine._values) - set(file_keys(used.engine)) == {new}
+        resaved = tmp_path / "resaved.mdgc"
+        used.engine.save_cache(str(resaved))
+        _, old_records = entry_records(blob)
+        _, records = entry_records(resaved.read_bytes())
+        assert set(old_records) < set(records)
+        keys = [key for key, _ in records]
+        assert keys == sorted(keys) and len(records) == len(old_records) + 1
+        assert 0 < keys.index(new) < len(keys) - 1  # spliced between file runs
+
+        last = make_context()
+        assert last.engine.load_cache(str(resaved)) is True
+        assert file_keys(last.engine) == keys
+        got = last.engine.game_of(path(9), Variant.CLASSIC)
+        assert transplant(last.store, used.store, got, {}) == value
+        scratch = make_context()  # values from the rules alone
+        assert transplant(last.store, scratch.store, got, {}) == scratch.engine.game_of(
+            path(9), Variant.CLASSIC)
