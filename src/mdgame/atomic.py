@@ -65,7 +65,6 @@ class AtomicCalculator:
     def __init__(self, store: GameStore):
         self.store = store
         self._aw: dict[GameId, AtomicWeight] = {}
-        self._order: dict[GameId, Comparison] = {}
         self._naive: dict[tuple, GameId] = {}  # raw option weights -> naive weight
 
     # ------------------------------------------------------------------
@@ -84,9 +83,6 @@ class AtomicCalculator:
         st = self.store
         if not st.is_all_small(g):
             raise NotAllSmall("remote-star comparison requires an all-small game")
-        hit = self._order.get(g)
-        if hit is not None:
-            return hit
         n = self.surrogate_order(g)
         first = st.compare(g, st.nimber_game(n))
         second = st.compare(g, st.nimber_game(n + 1))
@@ -94,7 +90,7 @@ class AtomicCalculator:
             raise RemoteStarUnstable(
                 f"comparison with *{n} and *{n + 1} disagreed ({first} vs {second})"
             )
-        return st._memo_put(self._order, g, first)
+        return first
 
     # ------------------------------------------------------------------
     # atomic weight

@@ -402,16 +402,24 @@ class GameStore:
         return self._memo_put(self._add, key, g)
 
     def negate(self, g: GameId) -> GameId:
-        hit = self._neg.get(g)
-        if hit is not None:
-            return hit
-        left = tuple(sorted(self.negate(r) for r in self._right[g]))
-        right = tuple(sorted(self.negate(l) for l in self._left[g]))
-        # negation of a canonical game is canonical, so intern directly
-        neg = self._intern(left, right)
-        self._memo_put(self._neg, g, neg)
-        self._memo_put(self._neg, neg, g)
-        return neg
+        """-g, built options first in the order a recursion over Right's
+        options, then Left's, would build them, but from a stack."""
+        neg, stack = self._neg, [g]
+        while stack:
+            h = stack[-1]
+            todo = [o for o in self._right[h] + self._left[h] if o not in neg]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            if h not in neg:
+                left = tuple(sorted(neg[r] for r in self._right[h]))
+                right = tuple(sorted(neg[l] for l in self._left[h]))
+                # negation of a canonical game is canonical, so intern directly
+                m = self._intern(left, right)
+                self._memo_put(neg, h, m)
+                self._memo_put(neg, m, h)
+        return neg[g]
 
     def sub(self, a: GameId, b: GameId) -> GameId:
         return self.add(a, self.negate(b))
@@ -455,12 +463,17 @@ class GameStore:
             raise ValueError(f"{value} is not a dyadic rational")
         if fr == 0:
             g = self.zero
-        elif fr.denominator == 1:
+        elif fr.denominator == 1:  # built up from the nearest integer built
             n = fr.numerator
-            if n > 0:
-                g = self.make_game([self.number_game(n - 1)], [])
-            else:
-                g = self.make_game([], [self.number_game(n + 1)])
+            step = 1 if n > 0 else -1
+            k = n - step
+            while k and k not in self._number_games:
+                k -= step
+            g = self.number_game(k)
+            while k != n:
+                k += step
+                g = self.make_game([g], []) if step > 0 else self.make_game([], [g])
+                self._memo_put(self._number_games, Fraction(k), g)
         else:
             step = Fraction(1, fr.denominator)
             g = self.make_game([self.number_game(fr - step)], [self.number_game(fr + step)])
@@ -526,7 +539,7 @@ class GameStore:
         hit = self._names.get(g)
         if hit is not None:
             return hit
-        name = self._short_name(g) or ValueName("other", text=self._render_braces(g))
+        name = self._short_name(g) or ValueName("other", text=self.canonical_text(g))
         return self._memo_put(self._names, g, name)
 
     def _short_name(self, g: GameId) -> Optional[ValueName]:
@@ -546,10 +559,6 @@ class GameStore:
 
     def render(self, g: GameId) -> str:
         return self.name_value(g).text
-
-    def canonical_text(self, g: GameId) -> str:
-        """Brace form of the canonical tree, with named subgames abbreviated."""
-        return self._render_braces(g)
 
     def display_options(self, g: GameId) -> tuple[tuple[GameId, ...], tuple[GameId, ...]]:
         """g's options by birthday, then rendered text: unlike GameId order,
@@ -573,7 +582,8 @@ class GameStore:
         commas = max(len(left) - 1, 0) + max(len(right) - 1, 0)
         return 3 + commas + sum(map(self._text_length, left + right))
 
-    def _render_braces(self, g: GameId) -> str:
+    def canonical_text(self, g: GameId) -> str:
+        """Brace form of the canonical tree, with named subgames abbreviated."""
         # the text spells the shared option DAG out as a tree, so its length
         # can grow exponentially with the depth: check it before building it
         length = self._braces_length(g)

@@ -245,7 +245,7 @@ def cmd_aw(args: argparse.Namespace) -> int:
     value = ctx.engine.game_of(graph, variant)
     aw = ctx.atomic.atomic_weight(value)
     _finish(args, ctx)
-    aw_text = str(aw.integer) if aw.is_integer else ctx.store.render(aw.value)
+    aw_text = ctx.store.render(aw.value)
     if args.format == "json":
         print(json.dumps({
             "variant": variant.value,

@@ -18,17 +18,17 @@ isomorphic results, so a component's options come from one legal move per
 orbit under the automorphisms its canonical labeling found.  The engine
 owns all it remembers, under the store's memo cap: each labeled graph's
 form, or its components' forms, keyed by one int up to 255 vertices; one
-record per isomorphism class; and the values.  A class is expanded once
-for all three variants: the orbit moves of its first fully searched graph
-become their results' forms, classic uses them all, fl drops Left's leaf
-deletions, and mf closes the class, labeling no child, when a side has
-none.  Labeling a graph of a known class stops at the first search leaf
-with a known form.  A loaded value cache stays the file's bytes, each game
-built from them on first use, and a save copies them verbatim.  The engine
-alone enforces the component size limit; graphs keeps no state.  A
-separate brute-force referee (Oracle) replays whole labeled graphs by
-alternating minimax without touching game values or canonical forms; it
-exists to cross-check the engine.
+record per isomorphism class; and the values.  _sides alone decides which
+classic orbit moves each variant allows, for the engine and variant_moves
+alike, and GraphGameEngine._moves expands a class once for all variants,
+when one first finds it an option: the orbit moves of its first fully
+searched graph become their results' forms.  Labeling a graph of a known
+class stops at the first search leaf with a known form.  A loaded value
+cache stays the file's bytes, each game built from them on first use, and
+a save copies them verbatim.  The engine alone enforces the component size
+limit; graphs keeps no state.  A separate brute-force referee (Oracle)
+replays whole labeled graphs by alternating minimax without touching game
+values or canonical forms; it exists to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -126,9 +126,14 @@ def _orbit_moves(c: Graph, autos: tuple[bytes, ...]) -> tuple[list, list, list]:
     return inner, ends, edges
 
 
-def _closed(inner: list, ends: list, edges: list) -> bool:
-    """Whether mf closes a component with these classic moves."""
-    return not (inner or ends) or not edges
+def _sides(inner, ends, edges, variant: Variant) -> tuple:
+    """Left's and Right's moves on a component under variant, from its
+    classic moves split as _orbit_moves splits them."""
+    if variant is Variant.FORBIDDEN_LEAF:
+        return inner, edges
+    if variant is Variant.MUTUAL_FAILURES and not ((inner or ends) and edges):
+        return (), ()  # the component is closed unless both players can move
+    return inner + ends, edges
 
 
 def variant_moves(c: Graph, mover: Player, variant: Variant,
@@ -140,13 +145,10 @@ def variant_moves(c: Graph, mover: Player, variant: Variant,
     autos empty every legal move gives its own result.  Isomorphic results
     of different orbits are not merged: equal options collapse in make_game.
     """
-    inner, ends, edges = _orbit_moves(c, autos)
-    if variant is Variant.MUTUAL_FAILURES and _closed(inner, ends, edges):
-        return ()  # the component is closed unless both players can move
+    lefts, rights = _sides(*_orbit_moves(c, autos), variant)
     if mover is Player.RIGHT:
-        return tuple(c.delete_edge(u, v) for u, v in edges)
-    vertices = inner if variant is Variant.FORBIDDEN_LEAF else sorted(inner + ends)
-    return tuple(c.delete_vertex(v) for v in vertices)
+        return tuple(c.delete_edge(u, v) for u, v in rights)
+    return tuple(c.delete_vertex(v) for v in sorted(lefts))
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +160,12 @@ _CACHE_VERSION = 3
 
 
 class GraphGameEngine:
-    """Computes canonical game values of graph positions for each variant.
-
-    A loaded value cache is the file's bytes and two offset tables: a
-    value-memo miss bisects its sorted keys, an entry's games go through
-    make_game on first use, and save_cache splices new values into it."""
+    """Computes canonical game values of graph positions for each variant:
+    a class's value is a loaded value cache's entry, or make_game over the
+    options _moves takes from _sides, the one move path.  A loaded cache is
+    the file's bytes and two offset tables: a value-memo miss bisects its
+    sorted keys, an entry's games go through make_game on first use, and
+    save_cache splices new values into it."""
 
     def __init__(self, store: GameStore, max_component: int = DEFAULT_COMPONENT_LIMIT):
         self.store = store
@@ -171,9 +174,8 @@ class GraphGameEngine:
         # its components' forms, lone vertices left out
         self._components: dict = {}
         # form -> (representative, inner, ends, edges): the class's first fully
-        # searched graph and its orbit moves (see _orbit_moves), until its
-        # first expansion drops the representative and turns each move into
-        # its result's _components entry
+        # searched graph and its orbit moves (see _orbit_moves), until _moves
+        # drops the graph and turns each move into its result's entry
         self._classes: dict[bytes, tuple] = {}
         self._values: dict[bytes, GameId] = {}
         # a loaded cache file stays its bytes until used: the offsets of its
@@ -235,20 +237,25 @@ class GraphGameEngine:
         if loaded is not None:
             value = self._materialize(loaded)
         else:
-            rep, inner, ends, edges = self._classes[form]
-            if variant is Variant.MUTUAL_FAILURES and _closed(inner, ends, edges):
-                value = self.store.zero
-            else:
-                if rep is not None:  # the first expansion serves every variant
-                    inner = tuple(self._entry(rep.delete_vertex(v)) for v in inner)
-                    ends = tuple(self._entry(rep.delete_vertex(v)) for v in ends)
-                    edges = tuple(self._entry(rep.delete_edge(u, v)) for u, v in edges)
-                    self._classes[form] = (None, inner, ends, edges)
-                lefts = inner if variant is Variant.FORBIDDEN_LEAF else inner + ends
-                value = self.store.make_game([self._sum(r, variant) for r in lefts],
-                                             [self._sum(r, variant) for r in edges])
+            lefts, rights = self._moves(form, variant)
+            value = self.store.make_game([self._sum(r, variant) for r in lefts],
+                                         [self._sum(r, variant) for r in rights])
         self.store._memo_put(self._values, key, value)
         return value
+
+    def _moves(self, form: bytes, variant: Variant) -> tuple:
+        """Left's and Right's option entries of form's class under variant; the
+        first call to find an option expands the class for every variant."""
+        rep, *moves = self._classes[form]
+        sides = _sides(*moves, variant)
+        if rep is None or not any(sides):
+            return sides
+        inner, ends, edges = moves
+        moves = (tuple(self._entry(rep.delete_vertex(v)) for v in inner),
+                 tuple(self._entry(rep.delete_vertex(v)) for v in ends),
+                 tuple(self._entry(rep.delete_edge(u, v)) for u, v in edges))
+        self._classes[form] = (None, *moves)
+        return _sides(*moves, variant)
 
     def _materialize(self, i: int) -> GameId:
         """Build loaded game i in the store, options first, in the order a

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from .cgt import Comparison, EngineError, Outcome
 from .families import FamilyKind, FamilySpec, build
 from .graphs import connected_graphs
-from .rules import EngineContext, Variant, _orbit_moves, make_context
+from .rules import EngineContext, Variant, _orbit_moves, _sides, make_context
 
 
 class CrossCheckFailure(EngineError):
@@ -210,10 +210,9 @@ def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:
         value = ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)),
                                    Variant.MUTUAL_FAILURES)
         aw = ctx.atomic.atomic_weight(value)
-        computed = str(aw.integer) if aw.is_integer else ctx.store.render(aw.value)
         report.rows.append(CheckRow(
             instance=f"path {n}",
-            computed=computed,
+            computed=ctx.store.render(aw.value),
             expected=str(expected),
             ok=aw.is_integer and aw.integer == expected,
         ))
@@ -268,8 +267,7 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
                                    Variant.MUTUAL_FAILURES)
         order = ctx.atomic.remote_star_order(value)
         aw = ctx.atomic.atomic_weight(value)
-        aw_txt = str(aw.integer) if aw.is_integer else ctx.store.render(aw.value)
-        computed = f"{order.value}, AW={aw_txt}"
+        computed = f"{order.value}, AW={ctx.store.render(aw.value)}"
         if n >= 5:
             ok = order is Comparison.GREATER and aw.is_integer and aw.integer >= 1
             report.rows.append(CheckRow(
@@ -292,12 +290,13 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     t0 = time.perf_counter()
     report = CheckReport(name="bias-props", scope=f"connected graphs, n<={max_vertices}")
     reps = connected_graphs(max_vertices)
-    # only whether a move exists matters, so no automorphisms are needed;
-    # classic Left deletes inner vertices and leaves, fl inner vertices only
+    # only whether a move exists matters, so no automorphisms are needed
     for n in sorted(reps):
         moves = [_orbit_moves(g, ()) for g in reps[n]]
-        classic_bad = sum(bool(edges and not (inner or ends)) for inner, ends, edges in moves)
-        fl_bad = sum(bool(inner and not edges) for inner, _, edges in moves)
+        classic = [_sides(*m, Variant.CLASSIC) for m in moves]
+        fl = [_sides(*m, Variant.FORBIDDEN_LEAF) for m in moves]
+        classic_bad = sum(bool(rights and not lefts) for lefts, rights in classic)
+        fl_bad = sum(bool(lefts and not rights) for lefts, rights in fl)
         ok = not classic_bad and not fl_bad
         note = ""
         if not ok:

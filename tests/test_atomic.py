@@ -111,7 +111,7 @@ class TestAtomicWeight:
         with pytest.raises(MemoCapExceeded):
             fresh.atomic_weight(g)
         tables = [t for t in vars(fresh).values() if isinstance(t, dict)]
-        assert len(tables) == 3 and all(len(t) <= cap for t in tables)
+        assert len(tables) == 2 and all(len(t) <= cap for t in tables)
 
 
 class TestTwoAhead:

@@ -614,3 +614,12 @@ class TestStructuralFacts:
         assert st.birthday(g) == st.number_value(g) == 5000
         assert st.nimber_order(g) is None and st.is_all_small(g) is False
         assert AtomicCalculator(st).surrogate_order(g) == 2
+
+    def test_a_deep_chain_renders_and_negates_without_recursion(self):
+        st = GameStore()
+        g = st.zero
+        for _ in range(5000):
+            g = st.make_game([g], [])
+        assert st.render(g) == "5000"
+        neg = st.negate(g)
+        assert st.number_value(neg) == -5000 and st.render(neg) == "-5000"

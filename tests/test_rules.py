@@ -1,5 +1,6 @@
 """Move generation, the component-value engine, the referee, and the cache."""
 
+import collections
 import functools
 import itertools
 import random
@@ -399,7 +400,8 @@ class TestClassExpansion:
         full = [autos for new, autos in calls if new]
         assert len(full) == len(ctx.engine._classes) < len(calls)
         assert all(autos == () for new, autos in calls if not new)  # stopped early
-        assert all(rep is None for rep, *_ in ctx.engine._classes.values())
+        # every class with a classic option is expanded; one with none keeps its graph
+        assert all((rep is None) == any(moves) for rep, *moves in ctx.engine._classes.values())
         labeled = len(calls)
         values = {Variant.CLASSIC: classic}
         for variant in (Variant.FORBIDDEN_LEAF, Variant.MUTUAL_FAILURES):
@@ -420,6 +422,18 @@ class TestClassExpansion:
         assert [rep for rep, *_ in ctx.engine._classes.values()] == [star(5), path(3)]
         ctx.engine.game_of(star(5), Variant.CLASSIC)  # Left deletes leaves
         assert len(calls) > 2 and ctx.engine._classes[canonical_form(star(5))][0] is None
+
+    def test_engine_options_are_variant_moves_results(self):
+        # the same options as multisets of entries, each in a fresh context, so
+        # the class's representative is g itself
+        for g in [g for n, gs in connected_graphs(6).items() if n > 1 for g in gs]:
+            autos = labeling(g)[1]
+            for variant in ALL_VARIANTS:
+                for side, mover in ((0, Player.LEFT), (1, Player.RIGHT)):
+                    engine = make_context().engine
+                    got = engine._moves(engine._entry(g), variant)[side]
+                    want = [engine._entry(r) for r in variant_moves(g, mover, variant, autos)]
+                    assert collections.Counter(got) == collections.Counter(want)
 
     def test_a_loaded_cache_adds_nothing_to_known(self, tmp_path, monkeypatch):
         ctx = make_context()
