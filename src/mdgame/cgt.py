@@ -41,6 +41,12 @@ the options being interned first, so each is one lookup and none
 recurses.  These lists grow one entry per game, like ``_left``, so
 ``memo_cap`` does not count them, as it does not count the game table.
 
+Names come from those facts: a game is a number or a nimber when its fact
+says so, and an up multiple when its chain of single options leads to up
+or up*, so naming and rendering build no game.  A value's brace text, and
+its length, which is checked before any text is built, are filled options
+first from an explicit stack, so neither recurses over a game's depth.
+
 make_game keeps no memo of raw option sets, which seldom repeat; callers
 that do repeat them, like the atomic weight recursion, keep their own.
 
@@ -157,7 +163,6 @@ class GameStore:
         self._neg: dict[GameId, GameId] = {}
         self._number_games: dict[Fraction, GameId] = {}
         self._nimber_games: dict[int, GameId] = {}
-        self._ups_games: dict[tuple[int, bool], GameId] = {}
         self._names: dict[GameId, ValueName] = {}
         self._text_lengths: dict[GameId, int] = {}
 
@@ -498,64 +503,65 @@ class GameStore:
 
     def ups_game(self, count: int, plus_star: bool = False) -> GameId:
         """count copies of up (negative counts give downs), plus * if asked."""
-        key = (count, plus_star)
-        hit = self._ups_games.get(key)
-        if hit is not None:
-            return hit
-        if count == 0:
-            g = self.star if plus_star else self.zero
-        else:
-            base = self.up if count > 0 else self.down
-            g = base
-            for _ in range(abs(count) - 1):
-                g = self.add(g, base)
-            if plus_star:
-                g = self.add(g, self.star)
-        return self._memo_put(self._ups_games, key, g)
+        g = self.zero
+        for _ in range(abs(count)):
+            g = self.add(g, self.up if count > 0 else self.down)
+        return self.add(g, self.star) if plus_star else g
 
     def _up_multiple_of(self, g: GameId) -> Optional[tuple[int, bool]]:
-        r = self._ups_pattern(g)
-        if r is not None:
-            return r
-        r = self._ups_pattern(self.negate(g))  # downs are negated ups
-        if r is not None:
-            return (-r[0], r[1])
-        return None
+        """(n, s) when g is n.up, plus * if s, with n < 0 for downs; else None.
 
-    def _ups_pattern(self, g: GameId) -> Optional[tuple[int, bool]]:
-        # canonical shapes: n.up = {0 | (n-1).up*}, n.up* = {0 | (n-1).up}, n >= 2
-        if g == self.up:
-            return (1, False)
-        if g == self.up_star:
-            return (1, True)
-        if self._left[g] == (self.zero,) and len(self._right[g]) == 1:
-            sub = self._ups_pattern(self._right[g][0])
-            if sub is not None and sub[0] >= 1:
-                return (sub[0] + 1, not sub[1])
+        For n >= 2, n.up = {0 | (n-1).up*} and n.up* = {0 | (n-1).up}, and
+        downs mirror them, so g's chain of single options leads to up or up*
+        (down or down*), flipping the star at each step."""
+        for sign, ends, near, far in ((1, (self.up, self.up_star), self._left, self._right),
+                                      (-1, (self.down, self.down_star), self._right, self._left)):
+            h, count, flipped = g, 1, False
+            while h not in ends and near[h] == (self.zero,) and len(far[h]) == 1:
+                h, count, flipped = far[h][0], count + 1, not flipped
+            if h in ends:
+                return sign * count, (h == ends[1]) != flipped
         return None
 
     def name_value(self, g: GameId) -> ValueName:
-        """Classify g, verifying every non-Other name by reconstruction."""
-        hit = self._names.get(g)
-        if hit is not None:
-            return hit
-        name = self._short_name(g) or ValueName("other", text=self.canonical_text(g))
-        return self._memo_put(self._names, g, name)
+        """Classify g from the facts the store found when it interned it."""
+        if g not in self._names:
+            self._check_length(self._text_length(g))
+            self._fill(g, self._names,
+                       lambda h, name: name or ValueName("other", text=self.canonical_text(h)))
+        return self._names[g]
 
     def _short_name(self, g: GameId) -> Optional[ValueName]:
         """g's name as a number, nimber or up multiple, or None."""
-        fr = self.number_value(g)
-        if fr is not None and self.number_game(fr) == g:
+        fr = self._number[g]
+        if fr is not None:
             return ValueName("number", text=str(fr), number=fr)
-        k = self.nimber_order(g)
-        if k is not None and k >= 1 and self.nimber_game(k) == g:
+        k = self._nimber[g]
+        if k:
             return ValueName("nimber", text="*" if k == 1 else f"*{k}", nimber_order=k)
         um = self._up_multiple_of(g)
-        if um is not None and self.ups_game(um[0], um[1]) == g:
+        if um is not None:
             return ValueName(
                 "ups", text=_ups_text(um[0], um[1]), up_count=um[0], plus_star=um[1]
             )
         return None
+
+    def _fill(self, g: GameId, memo: dict, value) -> None:
+        """Put value(h, h's short name) in memo for g and each subgame its
+        brace text spells out, options first, from an explicit stack."""
+        stack = [g]
+        while stack:
+            h = stack[-1]
+            if h in memo:
+                stack.pop()
+                continue
+            name = self._short_name(h)
+            todo = [] if name else [o for o in self._left[h] + self._right[h] if o not in memo]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            self._memo_put(memo, h, value(h, name))
 
     def render(self, g: GameId) -> str:
         return self.name_value(g).text
@@ -570,25 +576,24 @@ class GameStore:
 
     def _text_length(self, g: GameId) -> int:
         """len(self.render(g)), found without building any text."""
-        hit = self._text_lengths.get(g)
-        if hit is None:
-            name = self._names.get(g) or self._short_name(g)
-            hit = len(name.text) if name is not None else self._braces_length(g)
-            self._memo_put(self._text_lengths, g, hit)
-        return hit
+        self._fill(g, self._text_lengths,
+                   lambda h, name: len(name.text) if name else self._braces_length(h))
+        return self._text_lengths[g]
 
     def _braces_length(self, g: GameId) -> int:
         left, right = self._left[g], self._right[g]
         commas = max(len(left) - 1, 0) + max(len(right) - 1, 0)
         return 3 + commas + sum(map(self._text_length, left + right))
 
-    def canonical_text(self, g: GameId) -> str:
-        """Brace form of the canonical tree, with named subgames abbreviated."""
+    def _check_length(self, length: int) -> None:
         # the text spells the shared option DAG out as a tree, so its length
         # can grow exponentially with the depth: check it before building it
-        length = self._braces_length(g)
         if length > _TEXT_LIMIT:
             raise TextTooLong(f"the value's text would be {length:,} characters, "
                               f"above the limit of {_TEXT_LIMIT:,}")
+
+    def canonical_text(self, g: GameId) -> str:
+        """Brace form of the canonical tree, with named subgames abbreviated."""
+        self._check_length(self._braces_length(g))
         left, right = self.display_options(g)
         return "{%s|%s}" % (",".join(map(self.render, left)), ",".join(map(self.render, right)))

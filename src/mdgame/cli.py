@@ -50,9 +50,6 @@ class ParseError(ValueError):
 # input parsing
 # ----------------------------------------------------------------------
 
-_FAMILY_ARITY = {kind: (2 if kind is FamilyKind.BICLIQUE else 1) for kind in FamilyKind}
-
-
 def parse_family_term(term: str) -> FamilySpec:
     words = term.split()
     if not words:
@@ -61,20 +58,12 @@ def parse_family_term(term: str) -> FamilySpec:
         kind = FamilyKind(words[0].lower())
     except ValueError:
         raise ParseError(f"unknown family {words[0]!r}") from None
-    arity = _FAMILY_ARITY[kind]
-    if len(words) != 1 + arity:
-        raise ParseError(
-            f"{kind.value} takes {arity} parameter{'s' if arity > 1 else ''}, "
-            f"got {len(words) - 1}"
-        )
+    if not 1 <= len(words) - 1 <= 2:
+        raise ParseError(f"expected 1 or 2 parameters after {kind.value}, got {len(words) - 1}")
     try:
-        params = [int(w) for w in words[1:]]
+        return FamilySpec(kind, *map(int, words[1:]))
     except ValueError:
         raise ParseError(f"non-integer parameter in {term!r}") from None
-    try:
-        if arity == 1:
-            return FamilySpec(kind, params[0])
-        return FamilySpec(kind, params[0], params[1])
     except BadParams as exc:
         raise ParseError(str(exc)) from None
 
@@ -188,23 +177,18 @@ def _finish(args: argparse.Namespace, ctx: EngineContext) -> None:
 def _value_payload(ctx: EngineContext, graph: Graph, variant: Variant,
                    value: GameId, outcome: Outcome) -> dict:
     store = ctx.store
-    ids: list[GameId] = []
-    seen: dict[GameId, int] = {}
-
-    def collect(g: GameId) -> None:
-        if g in seen:
-            return
-        seen[g] = len(ids)
-        ids.append(g)
-        left, right = store.display_options(g)
-        for o in left + right:
-            collect(o)
-
-    collect(value)
-    nodes = []
-    for g in ids:
-        left, right = store.display_options(g)
-        nodes.append({"left": [seen[o] for o in left], "right": [seen[o] for o in right]})
+    seen: dict[GameId, int] = {}  # each game's number, in preorder
+    sides = []
+    stack = [value]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen[g] = len(seen)
+            left, right = store.display_options(g)
+            sides.append((left, right))
+            stack += reversed(left + right)
+    nodes = [{"left": [seen[o] for o in left], "right": [seen[o] for o in right]}
+             for left, right in sides]
     name = store.name_value(value)
     return {
         "vertices": graph.n,

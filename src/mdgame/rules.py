@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .cgt import GameId, GameStore, Outcome
+from .cgt import GameId, GameStore, MemoCapExceeded, Outcome
 from .atomic import AtomicCalculator
 from .graphs import _BYTE_LIMIT, Graph, TooLarge, bits, canonical_form, labeling
 
@@ -426,10 +426,12 @@ class Oracle:
 
     Positions are raw labeled adjacency rows, a deleted vertex keeping an
     empty row; no game values, canonical forms, or option-set reasoning are
-    involved.  Intended for cross-checking on small instances.
+    involved.  Intended for cross-checking on small instances.  Its memo
+    holds at most memo_cap positions and raises MemoCapExceeded beyond that.
     """
 
-    def __init__(self):
+    def __init__(self, memo_cap: Optional[int] = None):
+        self.memo_cap = memo_cap
         self._memo: dict[tuple, bool] = {}
 
     def outcome(self, g: Graph, variant: Variant) -> Outcome:
@@ -454,6 +456,8 @@ class Oracle:
             if not self._wins(nrows, other, variant):
                 result = True
                 break
+        if self.memo_cap is not None and len(self._memo) >= self.memo_cap:
+            raise MemoCapExceeded(f"memo table cap of {self.memo_cap} entries exceeded")
         self._memo[key] = result
         return result
 
@@ -536,5 +540,5 @@ def make_context(max_component: int = DEFAULT_COMPONENT_LIMIT,
         store=store,
         engine=GraphGameEngine(store, max_component=max_component),
         atomic=AtomicCalculator(store),
-        oracle=Oracle(),
+        oracle=Oracle(memo_cap),
     )

@@ -420,12 +420,46 @@ class TestNames:
 
     def test_text_lengths_are_known_before_any_text(self):
         st, _ = summed_store(66)
-        games = range(len(st))  # naming may intern more games; check these
+        games = range(len(st))
         lengths = [(st._text_length(g), st._braces_length(g)) for g in games]
         assert not st._names  # no text was built to find them
         texts = [(st.render(g), st.canonical_text(g)) for g in games]
+        assert len(st) == len(games)  # naming interned no game
         assert lengths == [(len(a), len(b)) for a, b in texts]
         assert max(n for n, _ in lengths) > 20  # nested braces, not just names
+
+    def test_rendering_builds_no_game(self):
+        summed, _ = summed_store(66)
+        ctx = make_context()
+        for n in range(3, 8):
+            ctx.engine.game_of(wheel(n), Variant.CLASSIC)
+        for st in (summed, ctx.store):
+            size = len(st)
+            kinds = {st.name_value(g).kind for g in range(size)}
+            for g in range(size):
+                st.render(g), st.canonical_text(g)
+            assert len(st) == size
+            assert "other" in kinds  # brace texts were spelled out
+
+    def test_up_multiples_are_named_by_their_chain(self):
+        st = GameStore()
+        for count in range(-40, 41):
+            for plus_star in (False, True):
+                if count:
+                    name = st.name_value(st.ups_game(count, plus_star))
+                    assert (name.kind, name.up_count, name.plus_star) == (
+                        "ups", count, plus_star)
+
+    def test_a_deep_game_with_no_short_name_renders_without_recursion(self):
+        st = GameStore()
+        g = st.zero
+        for _ in range(3000):
+            g = st.make_game([g], [st.star])  # {0|*} is up; then {g'|*}
+        size = len(st)
+        text = "{" * 2999 + "↑" + "|*}" * 2999
+        assert st.render(g) == st.canonical_text(g) == text and len(text) == 11_997
+        assert st.name_value(g).kind == "other" and st._text_length(g) == len(text)
+        assert len(st) == size
 
 
 class TestAllSmall:

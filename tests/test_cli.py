@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,15 @@ import pytest
 from mdgame import Graph, canonical_form, cgt
 from mdgame.cli import (
     ParseError,
+    _value_payload,
     main,
     parse_edge_list,
     parse_family_expression,
     parse_family_term,
     parse_graph_input,
 )
-from mdgame.families import FamilyKind, FamilySpec, build, path
-from mdgame.rules import Variant, canonical_key
+from mdgame.families import FamilyKind, FamilySpec, build, path, wheel
+from mdgame.rules import Variant, canonical_key, make_context
 from test_rules import forged_chain
 
 
@@ -45,7 +47,7 @@ class TestFamilyParsing:
     @pytest.mark.parametrize(
         "bad",
         ["", "blob 3", "path", "path x", "path 3 4", "cycle 2", "wheel 2",
-         "path 0", "biclique 2"],
+         "path 0", "biclique 2", "path 1 2 3", "biclique 1 2 3"],
     )
     def test_bad_terms(self, bad):
         with pytest.raises(ParseError):
@@ -111,6 +113,40 @@ class TestValueCommand:
         for node in nodes:
             for side in ("left", "right"):
                 assert all(0 <= i < len(nodes) for i in node[side])
+
+    def test_json_dag_numbers_games_in_preorder(self):
+        def reference(store, value):  # the recursive preorder walk
+            seen = {}
+
+            def collect(g):
+                if g not in seen:
+                    seen[g] = len(seen)
+                    left, right = store.display_options(g)
+                    for o in left + right:
+                        collect(o)
+
+            collect(value)
+            sides = [store.display_options(g) for g in seen]
+            return {"nodes": [{"left": [seen[o] for o in left], "right": [seen[o] for o in right]}
+                              for left, right in sides], "root": seen[value]}
+
+        ctx = make_context()
+        graphs = [(path(9), Variant.MUTUAL_FAILURES), (wheel(5), Variant.CLASSIC),
+                  (parse_family_expression("cycle 6 + path 5"), Variant.FORBIDDEN_LEAF)]
+        values = [(g, v, ctx.engine.game_of(g, v)) for g, v in graphs]
+        chain = ctx.store.zero
+        for _ in range(3000):
+            chain = ctx.store.make_game([chain], [ctx.store.star])
+        values.append((path(2), Variant.CLASSIC, chain))
+        limit = sys.getrecursionlimit()
+        for graph, variant, value in values:
+            payload = _value_payload(ctx, graph, variant, value, ctx.store.outcome(value))
+            sys.setrecursionlimit(limit + 4000)  # for the reference on the chain
+            try:
+                assert payload["dag"] == reference(ctx.store, value)
+            finally:
+                sys.setrecursionlimit(limit)
+        assert len(payload["dag"]["nodes"]) == 3002  # the chain, 0 and *
 
     def test_text_and_json_agree(self, capsys):
         main(["value", "cycle 4", "--variant", "classic"])

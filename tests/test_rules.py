@@ -19,6 +19,7 @@ from mdgame.families import biclique, complete, cycle, path, star, wheel
 from mdgame.graphs import labeling
 from mdgame.rules import (
     GraphGameEngine,
+    Oracle,
     Player,
     Variant,
     canonical_key,
@@ -317,6 +318,18 @@ class TestOracleAgreement:
         for g in combos:
             for variant in ALL_VARIANTS:
                 assert ctx.engine.outcome_of(g, variant) is ctx.oracle.outcome(g, variant)
+
+    def test_memo_cap_bounds_the_oracle(self):
+        g, variant = wheel(5), Variant.MUTUAL_FAILURES
+        free = Oracle()
+        answer = free.outcome(g, variant)
+        size = len(free._memo)
+        exact = Oracle(memo_cap=size)
+        assert exact.outcome(g, variant) is answer and len(exact._memo) == size
+        for oracle in (Oracle(memo_cap=size // 2), make_context(memo_cap=size // 2).oracle):
+            with pytest.raises(MemoCapExceeded):
+                oracle.outcome(g, variant)
+            assert len(oracle._memo) == size // 2
 
 
 class TestRelabelingInvariance:
