@@ -6,8 +6,10 @@ sets to canonical form (dominated options removed, reversible options
 bypassed), so handle equality coincides with game-value equality, and all
 downstream work (ordering, disjunctive sums, negation, outcome
 classification, value naming) runs on interned handles backed by the
-store's memo tables.  One filter serves both sides: an option joins an
-antichain of undominated options, compared only with the ones kept so far.
+store's memo tables.  One filter and one bypass serve both sides: an
+option joins an antichain of undominated options, compared only with the
+ones kept so far, and a reversible option of either side is found by one
+comparison against the game not yet interned, Right mirroring Left.
 
 Sums feed ordering through cancellation: for short games x + y <= x + z
 exactly when y <= z.  add() records each sum g = a + b whose summands are
@@ -43,9 +45,13 @@ recurses.  These lists grow one entry per game, like ``_left``, so
 
 Names come from those facts: a game is a number or a nimber when its fact
 says so, and an up multiple when its chain of single options leads to up
-or up*, so naming and rendering build no game.  A value's brace text, and
-its length, which is checked before any text is built, are filled options
-first from an explicit stack, so neither recurses over a game's depth.
+or up*, so naming and rendering build no game.
+
+One walk, options_first, builds every game options first from an explicit
+stack, in the order a recursion would: negations, a value's brace text and
+its length (checked before any text is built), and, in the graph engine,
+loaded cache games and the games a save writes.  So none of these recurses
+over a game's depth; add still does.
 
 make_game keeps no memo of raw option sets, which seldom repeat; callers
 that do repeat them, like the atomic weight recursion, keep their own.
@@ -133,6 +139,24 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         if Fraction(k, 1 << j) < hi:
             return Fraction(k, 1 << j)
         j += 1
+
+
+def options_first(root, options, built, build) -> None:
+    """Call build(x) for root and each game reachable from it through
+    options(x) that is not in built, options before the games that have
+    them.  build(x) must put x in built.  A game's unbuilt options go on an
+    explicit stack in reverse, so they are built in the order a recursion
+    would build them, and a deep chain cannot overflow the interpreter's."""
+    stack = [(root, False)]
+    while stack:
+        x, ready = stack.pop()  # ready: x's options were pushed above it, so are built
+        if x in built:
+            continue
+        if ready:
+            build(x)
+            continue
+        stack.append((x, True))
+        stack += [(o, False) for o in reversed(options(x)) if o not in built]
 
 
 class GameStore:
@@ -307,18 +331,17 @@ class GameStore:
         """Intern the canonical form of the game with the given option sets."""
         # Left keeps its maximal options, Right its minimal ones; a bypass
         # keeps the value, so the other side stays undominated
-        left = self._undominated(left_options, self.leq)
-        right = self._undominated(right_options, self._geq)
+        below = (self.leq, self._geq)
+        sides = [self._undominated(left_options, below[0]),
+                 self._undominated(right_options, below[1])]
         for _ in range(_CANON_ITER_LIMIT):
-            replaced = self._bypass_left(left, right)
-            if replaced is not None:
-                left = self._undominated(replaced, self.leq)
-                continue
-            replaced = self._bypass_right(left, right)
-            if replaced is not None:
-                right = self._undominated(replaced, self._geq)
-                continue
-            return self._intern(left, right)
+            for s in (0, 1):
+                replaced = self._bypass(sides, s)
+                if replaced is not None:
+                    sides[s] = self._undominated(replaced, below[s])
+                    break
+            else:
+                return self._intern(*sides)
         raise EngineError("canonicalization did not converge")
 
     def _geq(self, a: GameId, b: GameId) -> bool:
@@ -338,39 +361,28 @@ class GameStore:
                 kept.append(x)
         return tuple(kept)
 
-    def _bypass_left(self, left: tuple, right: tuple):
-        # A Left option l reverses out through any Right response lr <= {left|right};
-        # it is replaced by lr's Left options.
-        for i, l in enumerate(left):
-            for lr in self._right[l]:
-                if self._leq_id_raw(lr, left, right):
-                    return left[:i] + left[i + 1:] + self._left[lr]
+    def _bypass(self, sides: list, s: int):
+        """sides[s] with its first reversible option bypassed, or None.  A
+        Left option x reverses through any Right response y <= G, G being
+        {sides[0] | sides[1]}, and gives way to y's Left options; Right
+        mirrors Left (s == 1)."""
+        near, far = (self._right, self._left) if s else (self._left, self._right)
+        own = sides[s]
+        for i, x in enumerate(own):
+            for y in far[x]:
+                if self._beyond(y, sides, s):
+                    return own[:i] + own[i + 1:] + near[y]
         return None
 
-    def _bypass_right(self, left: tuple, right: tuple):
-        for i, r in enumerate(right):
-            for rl in self._left[r]:
-                if self._leq_raw_id(left, right, rl):
-                    return right[:i] + right[i + 1:] + self._right[rl]
-        return None
-
-    def _leq_id_raw(self, x: GameId, left: tuple, right: tuple) -> bool:
-        # x <= {left|right} where the right-hand game is not yet interned
-        for xl in self._left[x]:
-            if self._leq_raw_id(left, right, xl):
+    def _beyond(self, y: GameId, sides: list, s: int) -> bool:
+        """y <= G for s == 0, G <= y for s == 1, where G = {sides[0] | sides[1]}
+        is not interned yet.  y <= G unless some Right option of G is <= y or
+        some Left option of y is >= G; G <= y mirrors it."""
+        for g in sides[1 - s]:
+            if self.leq(y, g) if s else self.leq(g, y):
                 return False
-        for gr in right:
-            if self.leq(gr, x):
-                return False
-        return True
-
-    def _leq_raw_id(self, left: tuple, right: tuple, x: GameId) -> bool:
-        # {left|right} <= x
-        for gl in left:
-            if self.leq(x, gl):
-                return False
-        for xr in self._right[x]:
-            if self._leq_id_raw(xr, left, right):
+        for o in (self._right if s else self._left)[y]:
+            if self._beyond(o, sides, 1 - s):
                 return False
         return True
 
@@ -407,23 +419,18 @@ class GameStore:
         return self._memo_put(self._add, key, g)
 
     def negate(self, g: GameId) -> GameId:
-        """-g, built options first in the order a recursion over Right's
-        options, then Left's, would build them, but from a stack."""
-        neg, stack = self._neg, [g]
-        while stack:
-            h = stack[-1]
-            todo = [o for o in self._right[h] + self._left[h] if o not in neg]
-            if todo:
-                stack += reversed(todo)
-                continue
-            stack.pop()
-            if h not in neg:
-                left = tuple(sorted(neg[r] for r in self._right[h]))
-                right = tuple(sorted(neg[l] for l in self._left[h]))
-                # negation of a canonical game is canonical, so intern directly
-                m = self._intern(left, right)
-                self._memo_put(neg, h, m)
-                self._memo_put(neg, m, h)
+        """-g, built by options_first over Right's options, then Left's."""
+        neg = self._neg
+
+        def build(h: GameId) -> None:
+            left = tuple(sorted(neg[r] for r in self._right[h]))
+            right = tuple(sorted(neg[l] for l in self._left[h]))
+            # negation of a canonical game is canonical, so intern directly
+            m = self._intern(left, right)
+            self._memo_put(neg, h, m)
+            self._memo_put(neg, m, h)
+
+        options_first(g, lambda h: self._right[h] + self._left[h], neg, build)
         return neg[g]
 
     def sub(self, a: GameId, b: GameId) -> GameId:
@@ -548,20 +555,9 @@ class GameStore:
 
     def _fill(self, g: GameId, memo: dict, value) -> None:
         """Put value(h, h's short name) in memo for g and each subgame its
-        brace text spells out, options first, from an explicit stack."""
-        stack = [g]
-        while stack:
-            h = stack[-1]
-            if h in memo:
-                stack.pop()
-                continue
-            name = self._short_name(h)
-            todo = [] if name else [o for o in self._left[h] + self._right[h] if o not in memo]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            self._memo_put(memo, h, value(h, name))
+        brace text spells out, by options_first."""
+        options_first(g, lambda h: () if self._short_name(h) else self._left[h] + self._right[h],
+                      memo, lambda h: self._memo_put(memo, h, value(h, self._short_name(h))))
 
     def render(self, g: GameId) -> str:
         return self.name_value(g).text

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .cgt import GameId, GameStore, MemoCapExceeded, Outcome
+from .cgt import GameId, GameStore, MemoCapExceeded, Outcome, options_first
 from .atomic import AtomicCalculator
 from .graphs import _BYTE_LIMIT, Graph, TooLarge, bits, canonical_form, labeling
 
@@ -180,12 +180,12 @@ class GraphGameEngine:
         self._values: dict[bytes, GameId] = {}
         # a loaded cache file stays its bytes until used: the offsets of its
         # game records and of its entry records, each table closed by its
-        # section's end (no file reads as an empty one), and each file game's
-        # store handle once built
+        # section's end (no file reads as an empty one), and the store handle
+        # of each file game built, by its index
         self._file = b""
         self._games = array("I", [0])
         self._entries = array("I", [0])
-        self._disk_ids: list[Optional[GameId]] = []
+        self._disk_ids: dict[int, GameId] = {}
         self.load_error: Optional[str] = None  # why the last load_cache returned False
 
     def game_of(self, g: Graph, variant: Variant) -> GameId:
@@ -258,18 +258,15 @@ class GraphGameEngine:
         return _sides(*moves, variant)
 
     def _materialize(self, i: int) -> GameId:
-        """Build loaded game i in the store, options first, in the order a
-        recursion would, but from a stack: a deep chain cannot overflow."""
-        ids, stack = self._disk_ids, [i]
-        while stack:
-            lo, ro = self._options(stack[-1])
-            todo = [k for k in lo + ro if ids[k] is None]
-            if todo:
-                stack += reversed(todo)
-                continue
-            j = stack.pop()
-            if ids[j] is None:
-                ids[j] = self.store.make_game([ids[k] for k in lo], [ids[k] for k in ro])
+        """Build loaded game i, and the file games it reaches, in the store
+        by options_first, so a deep chain cannot overflow."""
+        ids = self._disk_ids
+
+        def build(j: int) -> None:
+            lo, ro = self._options(j)
+            ids[j] = self.store.make_game([ids[k] for k in lo], [ids[k] for k in ro])
+
+        options_first(i, lambda j: sum(self._options(j), ()), ids, build)
         return ids[i]
 
     def _options(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -314,16 +311,16 @@ class GraphGameEngine:
         """
         store, file = self.store, memoryview(self._file)
         index: dict[GameId, int] = {}
-        for i, g in enumerate(self._disk_ids):
-            if g is not None:
-                index.setdefault(g, i)
-        roots = list(self._values.values())
-        new: set[GameId] = set()
-        while roots:
-            g = roots.pop()
-            if g not in index and g not in new:
-                new.add(g)
-                roots.extend(store.left_options(g) + store.right_options(g))
+        for i, g in sorted(self._disk_ids.items()):  # equal games keep the lowest index
+            index.setdefault(g, i)
+        new: list[GameId] = []
+
+        def reach(g: GameId) -> None:
+            index[g] = -1  # numbered below, in handle order
+            new.append(g)
+
+        for g in self._values.values():
+            options_first(g, lambda h: store.left_options(h) + store.right_options(h), index, reach)
         games, offs = self._games, self._entries
         ngames, records = len(games) - 1, [file[games[0]:games[-1]]]
         for g in sorted(new):
@@ -357,7 +354,7 @@ class GraphGameEngine:
         not strictly ascend, or an entry deeper than its position has edges.
         The engine keeps the file's bytes and two offset tables; entries are
         not built until used."""
-        if self._disk_ids or self._values:
+        if len(self._games) > 1 or self._values:
             raise RuntimeError("load_cache must come first: one file, into an engine "
                                "that has loaded and valued nothing")
 
@@ -412,7 +409,6 @@ class GraphGameEngine:
             return reject("bad layout")
         # games are canonicalized into the store on first use
         self._file, self._games, self._entries = blob, games, entries
-        self._disk_ids = [None] * ngames
         self.load_error = None
         return True
 

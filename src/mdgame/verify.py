@@ -40,10 +40,12 @@ class CheckReport:
     scope: str
     rows: list[CheckRow] = field(default_factory=list)
     passed: bool = True
-    elapsed_s: float = 0.0
+    elapsed_s: float = 0.0  # from creation to finish()
+    started: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def finish(self) -> "CheckReport":
         self.passed = all(row.ok is not False for row in self.rows)
+        self.elapsed_s = time.perf_counter() - self.started
         return self
 
     def to_dict(self) -> dict:
@@ -166,7 +168,6 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
                   lo: int, hi: int) -> CheckReport:
     """Outcomes across a family range, asserted where a theorem applies.
     Raises EmptyRange when no size of the family lies in lo..hi."""
-    t0 = time.perf_counter()
     claim = WINNER_CLAIMS.get((variant, family))
     report = CheckReport(
         name=f"winners {variant.value} {family.value}",
@@ -189,7 +190,6 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
             report.rows.append(CheckRow(
                 instance=str(spec), computed=outcome.value, note=note,
             ))
-    report.elapsed_s = time.perf_counter() - t0
     return report.finish()
 
 
@@ -203,7 +203,6 @@ def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:
     Expected values: 0 for n in {2,3,4}, then ceil(n/4) - 1 from n = 5 on
     (which also reproduces the published n <= 12 table).
     """
-    t0 = time.perf_counter()
     report = CheckReport(name="table-aw", scope=f"n=2..{max_n}")
     for n in range(2, max_n + 1):
         expected = 0 if n < 5 else math.ceil(n / 4) - 1
@@ -216,7 +215,6 @@ def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:
             expected=str(expected),
             ok=aw.is_integer and aw.integer == expected,
         ))
-    report.elapsed_s = time.perf_counter() - t0
     return report.finish()
 
 
@@ -235,7 +233,6 @@ def check_path_value_signs(ctx: EngineContext, variant: Variant,
         label = "not > 0"
     else:
         raise ValueError("sign corollaries exist for classic and fl only")
-    t0 = time.perf_counter()
     report = CheckReport(
         name=f"path-signs {variant.value}", scope=f"n=2..{max_n}"
     )
@@ -249,7 +246,6 @@ def check_path_value_signs(ctx: EngineContext, variant: Variant,
             expected=label,
             ok=cmp is not banned,
         ))
-    report.elapsed_s = time.perf_counter() - t0
     return report.finish()
 
 
@@ -260,7 +256,6 @@ def check_path_value_signs(ctx: EngineContext, variant: Variant,
 def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
     """From n = 5 on, mutual-failures paths exceed every remote star and
     carry atomic weight >= 1.  Smaller paths are reported informationally."""
-    t0 = time.perf_counter()
     report = CheckReport(name="farstar-paths", scope=f"n=2..{max_n}")
     for n in range(2, max_n + 1):
         value = ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)),
@@ -276,7 +271,6 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
             ))
         else:
             report.rows.append(CheckRow(instance=f"path {n}", computed=computed))
-    report.elapsed_s = time.perf_counter() - t0
     return report.finish()
 
 
@@ -287,7 +281,6 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
 def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     """Exhaustive over connected graphs: classic Right-movable implies
     Left-movable, and forbidden-leaf Left-movable implies Right-movable."""
-    t0 = time.perf_counter()
     report = CheckReport(name="bias-props", scope=f"connected graphs, n<={max_vertices}")
     reps = connected_graphs(max_vertices)
     # only whether a move exists matters, so no automorphisms are needed
@@ -308,7 +301,6 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
             ok=ok,
             note=note,
         ))
-    report.elapsed_s = time.perf_counter() - t0
     return report.finish()
 
 

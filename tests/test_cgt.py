@@ -226,6 +226,34 @@ class TestArithmetic:
             )
 
 
+class TestMirror:
+    """Identities of the theory on the domain's own values: {L | R} is
+    -{-R | -L}, which runs both sides of the bypass, and G - G = 0."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        ctx = make_context()
+        for variant in Variant:
+            for g in [wheel(n) for n in range(3, 7)] + [path(n) for n in range(2, 12)]:
+                ctx.engine.game_of(g, variant)
+        return ctx.store, len(ctx.store)
+
+    def test_make_game_commutes_with_negation(self, domain):
+        st, n = domain
+        rng = random.Random(21)
+        for _ in range(2000):
+            left = rng.sample(range(n), rng.randint(0, 4))
+            right = rng.sample(range(n), rng.randint(0, 4))
+            mirrored = st.make_game([st.negate(r) for r in right], [st.negate(l) for l in left])
+            assert st.make_game(left, right) == st.negate(mirrored)
+
+    def test_each_value_minus_itself_is_zero(self, domain):
+        st, n = domain
+        assert n == 276
+        for g in range(n):
+            assert st.add(g, st.negate(g)) == st.zero
+
+
 # ----------------------------------------------------------------------
 # cancellation: leq(x + y, x + z) is answered as leq(y, z)
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import zlib
 
 import pytest
 
-from mdgame import (Graph, MemoCapExceeded, Outcome, TooLarge, canonical_form,
+from mdgame import (GameStore, Graph, MemoCapExceeded, Outcome, TooLarge, canonical_form,
                     connected_graphs)
 from mdgame import rules
 from mdgame.cli import _value_payload
@@ -330,6 +330,58 @@ class TestOracleAgreement:
             with pytest.raises(MemoCapExceeded):
                 oracle.outcome(g, variant)
             assert len(oracle._memo) == size // 2
+
+
+class TestValueIdentities:
+    """Values checked against answers computed without the store's
+    canonicalization: the referee on sums, and Grundy values."""
+
+    def test_sums_match_the_oracle_on_disjoint_unions(self):
+        ctx = make_context()
+        reps = connected_graphs(5)
+        graphs = [g for n in sorted(reps) if n > 1 for g in reps[n]]
+        pairs = list(itertools.combinations_with_replacement(graphs, 2))
+        assert len(pairs) == 465
+        st, engine = ctx.store, ctx.engine
+        for variant in ALL_VARIANTS:
+            for g, h in pairs:
+                total = st.add(engine.game_of(g, variant), engine.game_of(h, variant))
+                assert st.outcome(total) is ctx.oracle.outcome(g.disjoint_union(h), variant)
+
+    def test_impartial_positions_are_nimbers(self):
+        # both players get every classic move, so each position is *k, k its
+        # Grundy value, and a sum of components is the nim-sum
+        st = GameStore()
+        memo: dict[bytes, tuple] = {}
+
+        def impartial(c: Graph) -> tuple:
+            form, autos = labeling(c)
+            hit = memo.get(form)
+            if hit is None:
+                inner, ends, edges = rules._orbit_moves(c, autos)
+                results = [c.delete_vertex(v) for v in inner + ends]
+                results += [c.delete_edge(u, v) for u, v in edges]
+                games, grundies = [], set()
+                for r in results:
+                    g, k = st.zero, 0
+                    for part in r.components():
+                        if part.n > 1:
+                            pg, pk = impartial(part)
+                            g, k = st.add(g, pg), k ^ pk
+                    assert g == st.nimber_game(k)
+                    games.append(g)
+                    grundies.add(k)
+                mex = min(set(range(len(grundies) + 1)) - grundies)
+                hit = memo[form] = (st.make_game(games, games), mex)
+            return hit
+
+        reps = connected_graphs(7)
+        seen = set()
+        for g in (g for n in sorted(reps) for g in reps[n]):
+            game, k = impartial(g)
+            assert game == st.nimber_game(k)
+            seen.add(k)
+        assert sum(map(len, reps.values())) == 996 and seen == set(range(11))
 
 
 class TestRelabelingInvariance:
