@@ -51,7 +51,8 @@ One walk, options_first, builds every game options first from an explicit
 stack, in the order a recursion would: negations, a value's brace text and
 its length (checked before any text is built), and, in the graph engine,
 loaded cache games and the games a save writes.  So none of these recurses
-over a game's depth; add still does.
+over a game's depth; add and leq still do: leq on the integers 2999 and
+3000 raises RecursionError.
 
 make_game keeps no memo of raw option sets, which seldom repeat; callers
 that do repeat them, like the atomic weight recursion, keep their own.

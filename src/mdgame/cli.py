@@ -31,7 +31,7 @@ from typing import Optional
 from .cgt import GameId, MemoCapExceeded, Outcome, TextTooLong
 from .atomic import NotAllSmall, NotInteger, RemoteStarUnstable
 from .families import BadParams, FamilyKind, FamilySpec, build
-from .graphs import Graph, TooLarge
+from .graphs import _BYTE_LIMIT, Graph, TooLarge
 from .rules import DEFAULT_COMPONENT_LIMIT, EngineContext, Variant, make_context
 from .verify import (
     SUITE_NAMES,
@@ -152,17 +152,14 @@ def _output_path(text: str) -> str:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-component", type=_at_least_one,
-                   default=DEFAULT_COMPONENT_LIMIT,
-                   help="largest connected component the engine will canonicalize")
     p.add_argument("--memo-cap", type=_at_least_one, default=None,
                    help="fail once any memo table reaches this many entries")
     p.add_argument("--cache", type=_output_path, default=None,
                    help="value-cache file, loaded before and saved after the run")
 
 
-def _make_context(args: argparse.Namespace) -> EngineContext:
-    ctx = make_context(max_component=args.max_component, memo_cap=args.memo_cap)
+def _make_context(args: argparse.Namespace, max_component: int) -> EngineContext:
+    ctx = make_context(max_component=max_component, memo_cap=args.memo_cap)
     if args.cache and os.path.exists(args.cache) and not ctx.engine.load_cache(args.cache):
         print(f"warning: value cache {args.cache} not loaded ({ctx.engine.load_error}); "
               "it will be overwritten", file=sys.stderr)
@@ -205,7 +202,7 @@ def _value_payload(ctx: EngineContext, graph: Graph, variant: Variant,
 def cmd_value(args: argparse.Namespace) -> int:
     graph = parse_graph_input(args.graph)
     variant = Variant(args.variant)
-    ctx = _make_context(args)
+    ctx = _make_context(args, args.max_component)
     value = ctx.engine.game_of(graph, variant)
     outcome = ctx.store.outcome(value)
     _finish(args, ctx)
@@ -225,7 +222,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 def cmd_aw(args: argparse.Namespace) -> int:
     graph = parse_graph_input(args.graph)
     variant = Variant(args.variant)
-    ctx = _make_context(args)
+    ctx = _make_context(args, args.max_component)
     value = ctx.engine.game_of(graph, variant)
     aw = ctx.atomic.atomic_weight(value)
     _finish(args, ctx)
@@ -256,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         winners_to=args.to,
         bias_max_vertices=args.max_vertices,
     )
-    ctx = _make_context(args)
+    ctx = _make_context(args, _BYTE_LIMIT)  # no limit but the labeling's own
     reports = run_all(config, ctx)
     _finish(args, ctx)
     all_passed = all(r.passed for r in reports)
@@ -285,20 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_value = sub.add_parser("value", help="canonical value and outcome of a position")
-    p_value.add_argument("graph", help="family expression, edge-list file, or '-'")
-    p_value.add_argument("--variant", choices=[v.value for v in Variant],
-                         default="classic")
-    p_value.add_argument("--format", choices=["text", "json"], default="text")
-    _add_engine_flags(p_value)
-    p_value.set_defaults(func=cmd_value)
-
-    p_aw = sub.add_parser("aw", help="atomic weight of a position's value")
-    p_aw.add_argument("graph", help="family expression, edge-list file, or '-'")
-    p_aw.add_argument("--variant", choices=[v.value for v in Variant], default="mf")
-    p_aw.add_argument("--format", choices=["text", "json"], default="text")
-    _add_engine_flags(p_aw)
-    p_aw.set_defaults(func=cmd_aw)
+    for name, about, variant, func in (
+        ("value", "canonical value and outcome of a position", "classic", cmd_value),
+        ("aw", "atomic weight of a position's value", "mf", cmd_aw),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("graph", help="family expression, edge-list file, or '-'")
+        p.add_argument("--variant", choices=[v.value for v in Variant], default=variant)
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--max-component", type=_at_least_one,
+                       default=DEFAULT_COMPONENT_LIMIT,
+                       help="largest connected component the engine will canonicalize")
+        _add_engine_flags(p)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="recompute known results and report")
     p_verify.add_argument("--suite", action="append", default=None,
@@ -321,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the JSON report to this file")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     _add_engine_flags(p_verify)
-    # the default path-signs range reaches 16-vertex paths
-    p_verify.set_defaults(func=cmd_verify, max_component=16)
+    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 

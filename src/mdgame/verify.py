@@ -3,21 +3,23 @@
 Each check returns a CheckReport holding per-instance rows.  A row with
 ``ok`` True/False participates in the pass/fail verdict; a row with ``ok``
 None is informational only (instances outside any proved range).  Engine
-results are cross-checked against the brute-force Oracle up to each
-family's oracle_largest size; a disagreement there is not a "failed row"
+outcomes are cross-checked against the brute-force Oracle on every size of
+each family's default range; a disagreement there is not a "failed row"
 but an engine defect, so it raises CrossCheckFailure immediately.
+FAMILY_SIZES alone sizes the suites; the path suites share its path range.
+The suites build only the sizes their ranges name: they need no component limit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 from .cgt import Comparison, EngineError, Outcome
 from .families import FamilyKind, FamilySpec, build
-from .graphs import connected_graphs
+from .graphs import _BYTE_LIMIT, connected_graphs
 from .rules import EngineContext, Variant, _orbit_moves, _sides, make_context
 
 
@@ -59,16 +61,7 @@ class CheckReport:
             "name": self.name,
             "scope": self.scope,
             "passed": self.passed,
-            "rows": [
-                {
-                    "instance": r.instance,
-                    "computed": r.computed,
-                    "expected": r.expected,
-                    "ok": r.ok,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 
@@ -93,18 +86,18 @@ def format_report(report: CheckReport) -> str:
 # ----------------------------------------------------------------------
 
 class FamilySizes(NamedTuple):
-    """Sizes the winners suite covers for one family."""
+    """Sizes the winners suite covers for one family; the brute-force
+    Oracle replays every size up to default_largest."""
 
     smallest: int
     default_largest: int
-    oracle_largest: int  # largest size the brute-force Oracle replays
 
 
 FAMILY_SIZES: dict[FamilyKind, FamilySizes] = {
-    FamilyKind.PATH: FamilySizes(2, 16, 12),
-    FamilyKind.CYCLE: FamilySizes(3, 14, 12),
-    FamilyKind.WHEEL: FamilySizes(3, 8, 6),
-    FamilyKind.COMPLETE: FamilySizes(2, 6, 6),
+    FamilyKind.PATH: FamilySizes(2, 16),
+    FamilyKind.CYCLE: FamilySizes(3, 14),
+    FamilyKind.WHEEL: FamilySizes(3, 8),
+    FamilyKind.COMPLETE: FamilySizes(2, 6),
 }
 
 
@@ -124,7 +117,7 @@ def _sizes(family: FamilyKind, lo: int, hi: int) -> range:
 
 def _cross_check(ctx: EngineContext, spec: FamilySpec, variant: Variant,
                  computed: Outcome) -> bool:
-    if spec.a > FAMILY_SIZES[spec.kind].oracle_largest:
+    if spec.a > FAMILY_SIZES[spec.kind].default_largest:
         return False
     actual = ctx.oracle.outcome(build(spec), variant)
     if actual is not computed:
@@ -309,16 +302,13 @@ def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
 # ----------------------------------------------------------------------
 
 SUITE_NAMES = ("table-aw", "winners", "path-signs", "farstar", "bias")
-TABLE_AW_MAX_N = 12
-SIGNS_MAX_N = 16
-FARSTAR_MAX_N = 12
 
 
 @dataclass
 class VerifyConfig:
     """What run_all checks.  max_n bounds table-aw, path-signs and farstar
-    alike (None: each suite's default); winners bounds left None come from
-    FAMILY_SIZES.  An empty winners range, a max_n below 2 or a
+    alike (None: the path family's default range); winners bounds left None
+    come from FAMILY_SIZES.  An empty winners range, a max_n below 2 or a
     bias_max_vertices below 1 raises EmptyRange on creation."""
 
     suites: tuple[str, ...] = SUITE_NAMES
@@ -354,26 +344,29 @@ class VerifyConfig:
             runs.append((variant, family, lo, hi))
         return runs
 
-    def suite_max_n(self, default: int) -> int:
-        return default if self.max_n is None else self.max_n
+    def paths_to(self) -> int:
+        """Largest path of table-aw, path-signs and farstar."""
+        if self.max_n is None:
+            return FAMILY_SIZES[FamilyKind.PATH].default_largest
+        return self.max_n
 
 
 def run_all(config: VerifyConfig, ctx: Optional[EngineContext] = None) -> list[CheckReport]:
     """Run the selected suites and return their reports in a stable order."""
     winner_runs = config.winner_runs()
     if ctx is None:
-        ctx = make_context()
+        ctx = make_context(max_component=_BYTE_LIMIT)
+    paths_to = config.paths_to()
     reports: list[CheckReport] = []
     if "table-aw" in config.suites:
-        reports.append(check_table_aw(ctx, config.suite_max_n(TABLE_AW_MAX_N)))
+        reports.append(check_table_aw(ctx, paths_to))
     for variant, family, lo, hi in winner_runs:
         reports.append(check_winners(ctx, variant, family, lo, hi))
     if "path-signs" in config.suites:
-        signs_max_n = config.suite_max_n(SIGNS_MAX_N)
-        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, signs_max_n))
-        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, signs_max_n))
+        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, paths_to))
+        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, paths_to))
     if "farstar" in config.suites:
-        reports.append(check_farstar_paths(ctx, config.suite_max_n(FARSTAR_MAX_N)))
+        reports.append(check_farstar_paths(ctx, paths_to))
     if "bias" in config.suites:
         reports.append(check_bias_props(ctx, config.bias_max_vertices))
     return reports

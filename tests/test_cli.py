@@ -2,12 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mdgame import Graph, canonical_form, cgt
+from mdgame import Graph, canonical_form, cgt, cli
 from mdgame.cli import (
     ParseError,
     _value_payload,
@@ -195,10 +197,30 @@ class TestVerifyCommand:
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_docstring_example_passes(self, capsys):
+        # it runs fl paths to 20, past the Oracle's range and the default
+        # component limit
+        example, = [line.split() for line in cli.__doc__.splitlines()
+                    if line.split()[:2] == ["mdgame", "verify"]]
+        assert main(example[1:]) == 0
+        assert "path 20: RightWins expected RightWins" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["path-signs", "table-aw", "farstar"])
+    def test_path_suites_beyond_the_default_range(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--max-n", "20"]) == 0
+        assert "(n=2..20)" in capsys.readouterr().out
+
+    def test_no_component_limit_flag(self, capsys):
+        # verify builds only the sizes its ranges name, so it takes no limit
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-component", "16"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-component 16" in capsys.readouterr().err
+
     def test_defaults_pass(self, capsys):
-        # the default ranges reach 16-vertex paths, so the verify default
-        # component limit must cover them
-        # and the reports, minus timing, must match the committed ones
+        # the default ranges reach 16-vertex paths, which verify builds with
+        # no component limit beyond the labeling's own, and the reports,
+        # minus timing, must match the committed ones
         assert main(["verify", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
@@ -409,3 +431,16 @@ class TestCacheFlag:
         assert "value: 1\n" in out
         assert err == (f"warning: value cache {cache} not loaded (an entry deeper "
                        "than its position has edges); it will be overwritten\n")
+
+
+# ----------------------------------------------------------------------
+# module entry point
+# ----------------------------------------------------------------------
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "mdgame", "value", "path 3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "outcome: LeftWins" in done.stdout

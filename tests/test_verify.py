@@ -78,10 +78,11 @@ class TestWinners:
             VerifyConfig(winners_family=FamilyKind.PATH, winners_from=9, winners_to=3)
 
     def test_oracle_budget_limits_note(self, vctx):
-        report = check_winners(vctx, Variant.CLASSIC, FamilyKind.PATH, 12, 13)
+        # the Oracle referees each family's default range, paths to 16
+        report = check_winners(vctx, Variant.CLASSIC, FamilyKind.PATH, 16, 17)
         rows = rows_by_instance(report)
-        assert rows["path 12"].note == "oracle agrees"
-        assert rows["path 13"].note == ""
+        assert rows["path 16"].note == "oracle agrees"
+        assert rows["path 17"].note == ""
 
     def test_cross_check_failure_raises(self, vctx):
         broken = make_context()
@@ -160,6 +161,12 @@ class TestRunAll:
         a = [r.stable_dict() for r in run_all(self.CONFIG, make_context())]
         b = [r.stable_dict() for r in run_all(self.CONFIG, make_context())]
         assert a == b
+
+    def test_default_context_reaches_the_default_ranges(self):
+        # the path suites run to path 16, beyond DEFAULT_COMPONENT_LIMIT
+        reports = run_all(VerifyConfig(suites=("path-signs",)))
+        assert [r.scope for r in reports] == ["n=2..16", "n=2..16"]
+        assert all(r.passed for r in reports)
 
     def test_winner_filters(self):
         config = VerifyConfig(
