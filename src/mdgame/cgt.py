@@ -102,6 +102,11 @@ class Comparison(Enum):
     CONFUSED = "Confused"
 
 
+# who wins a game, by how it compares with zero
+_OUTCOME_VS_ZERO = {Comparison.GREATER: Outcome.LEFT_WINS, Comparison.LESS: Outcome.RIGHT_WINS,
+                    Comparison.CONFUSED: Outcome.FIRST_WINS, Comparison.EQUAL: Outcome.SECOND_WINS}
+
+
 @dataclass(frozen=True)
 class ValueName:
     """Classification of a canonical game: number, nimber, up multiple, or other.
@@ -314,15 +319,7 @@ class GameStore:
 
     def outcome(self, g: GameId) -> Outcome:
         """Normal-play outcome class with alternating perfect play."""
-        ge = self.leq(self.zero, g)
-        le = self.leq(g, self.zero)
-        if ge and le:
-            return Outcome.SECOND_WINS
-        if ge:
-            return Outcome.LEFT_WINS
-        if le:
-            return Outcome.RIGHT_WINS
-        return Outcome.FIRST_WINS
+        return _OUTCOME_VS_ZERO[self.compare(g, self.zero)]
 
     # ------------------------------------------------------------------
     # construction

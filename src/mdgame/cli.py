@@ -13,10 +13,10 @@ blank lines and lines starting with "#" are ignored.  "-" reads the
 edge list from stdin.
 
 Exit codes: 0 success, 1 verification failure, 2 unusable input (graph
-text, option value, an empty winners range, or an output path that is a
-directory or lies in a missing one),
-3 resource limit (graph too large, memo cap, unstable remote star, value
-text too long to print),
+text, option value, an unknown suite, a winners selection with no table or
+an empty winners range, or an output path that is a directory or lies in a
+missing one), 3 resource limit (graph too large, a verify range above 255
+vertices, memo cap, unstable remote star, value text too long to print),
 4 precondition violation (e.g. atomic weight of a non-all-small game).
 """
 
@@ -240,12 +240,8 @@ def cmd_aw(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = tuple(args.suite) if args.suite else SUITE_NAMES
-    for s in suites:
-        if s not in SUITE_NAMES:
-            raise ParseError(f"unknown suite {s!r} (choose from {', '.join(SUITE_NAMES)})")
     config = VerifyConfig(
-        suites=suites,
+        suites=tuple(args.suite or SUITE_NAMES),
         max_n=args.max_n,
         winners_variant=Variant(args.variant) if args.variant else None,
         winners_family=FamilyKind(args.family) if args.family else None,

@@ -8,6 +8,8 @@ each family's default range; a disagreement there is not a "failed row"
 but an engine defect, so it raises CrossCheckFailure immediately.
 FAMILY_SIZES alone sizes the suites; the path suites share its path range.
 The suites build only the sizes their ranges name: they need no component limit.
+VerifyConfig refuses before any work a selection that checks nothing
+(EmptyRange, CLI exit 2) or a range above 255 vertices (TooLarge, exit 3).
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Optional
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .cgt import Comparison, EngineError, Outcome
+from .cgt import Comparison, EngineError, GameId, Outcome
 from .families import FamilyKind, FamilySpec, build
 from .graphs import _BYTE_LIMIT, connected_graphs
 from .rules import EngineContext, Variant, _orbit_moves, _sides, make_context
@@ -63,6 +66,13 @@ class CheckReport:
             "passed": self.passed,
             "rows": [asdict(r) for r in self.rows],
         }
+
+
+def _report(name: str, scope: str, rows: Iterable[CheckRow]) -> CheckReport:
+    """The report of rows, timed while they are computed."""
+    report = CheckReport(name=name, scope=scope)
+    report.rows.extend(rows)
+    return report.finish()
 
 
 def format_report(report: CheckReport) -> str:
@@ -162,33 +172,29 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
     """Outcomes across a family range, asserted where a theorem applies.
     Raises EmptyRange when no size of the family lies in lo..hi."""
     claim = WINNER_CLAIMS.get((variant, family))
-    report = CheckReport(
-        name=f"winners {variant.value} {family.value}",
-        scope=f"n={lo}..{hi}",
-    )
-    for n in _sizes(family, lo, hi):
+
+    def row(n: int) -> CheckRow:
         spec = FamilySpec(family, n)
         outcome = ctx.engine.outcome_of(build(spec), variant)
-        checked = _cross_check(ctx, spec, variant, outcome)
-        note = "oracle agrees" if checked else ""
-        if claim is not None and claim.applies(n):
-            report.rows.append(CheckRow(
-                instance=str(spec),
-                computed=outcome.value,
-                expected=claim.winner.value,
-                ok=outcome is claim.winner,
-                note=note,
-            ))
-        else:
-            report.rows.append(CheckRow(
-                instance=str(spec), computed=outcome.value, note=note,
-            ))
-    return report.finish()
+        note = "oracle agrees" if _cross_check(ctx, spec, variant, outcome) else ""
+        claimed = claim.winner if claim is not None and claim.applies(n) else None
+        return CheckRow(instance=str(spec), computed=outcome.value, note=note,
+                        expected=None if claimed is None else claimed.value,
+                        ok=None if claimed is None else outcome is claimed)
+
+    return _report(f"winners {variant.value} {family.value}", f"n={lo}..{hi}",
+                   map(row, _sizes(family, lo, hi)))
 
 
 # ----------------------------------------------------------------------
-# atomic weight table and formula
+# path suites: atomic weight formula, sign corollaries, far star
 # ----------------------------------------------------------------------
+
+def _paths(ctx: EngineContext, variant: Variant, max_n: int) -> Iterator[tuple[int, GameId]]:
+    """Each path 2..max_n with its value under variant."""
+    for n in range(2, max_n + 1):
+        yield n, ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)), variant)
+
 
 def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:
     """Atomic weights of mutual-failures paths against the closed form.
@@ -196,75 +202,56 @@ def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:
     Expected values: 0 for n in {2,3,4}, then ceil(n/4) - 1 from n = 5 on
     (which also reproduces the published n <= 12 table).
     """
-    report = CheckReport(name="table-aw", scope=f"n=2..{max_n}")
-    for n in range(2, max_n + 1):
+    def row(n: int, value: GameId) -> CheckRow:
         expected = 0 if n < 5 else math.ceil(n / 4) - 1
-        value = ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)),
-                                   Variant.MUTUAL_FAILURES)
         aw = ctx.atomic.atomic_weight(value)
-        report.rows.append(CheckRow(
+        return CheckRow(
             instance=f"path {n}",
             computed=ctx.store.render(aw.value),
             expected=str(expected),
             ok=aw.is_integer and aw.integer == expected,
-        ))
-    return report.finish()
+        )
 
+    return _report("table-aw", f"n=2..{max_n}",
+                   starmap(row, _paths(ctx, Variant.MUTUAL_FAILURES, max_n)))
 
-# ----------------------------------------------------------------------
-# sign corollaries
-# ----------------------------------------------------------------------
 
 def check_path_value_signs(ctx: EngineContext, variant: Variant,
                            max_n: int) -> CheckReport:
     """Classic path values are never negative; forbidden-leaf never positive."""
-    if variant is Variant.CLASSIC:
-        banned = Comparison.LESS
-        label = "not < 0"
-    elif variant is Variant.FORBIDDEN_LEAF:
-        banned = Comparison.GREATER
-        label = "not > 0"
-    else:
+    if variant is Variant.MUTUAL_FAILURES:
         raise ValueError("sign corollaries exist for classic and fl only")
-    report = CheckReport(
-        name=f"path-signs {variant.value}", scope=f"n=2..{max_n}"
-    )
-    zero = ctx.store.zero
-    for n in range(2, max_n + 1):
-        value = ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)), variant)
-        cmp = ctx.store.compare(value, zero)
-        report.rows.append(CheckRow(
+    banned, label = ((Comparison.LESS, "not < 0") if variant is Variant.CLASSIC
+                     else (Comparison.GREATER, "not > 0"))
+
+    def row(n: int, value: GameId) -> CheckRow:
+        cmp = ctx.store.compare(value, ctx.store.zero)
+        return CheckRow(
             instance=f"path {n}",
             computed=f"vs 0: {cmp.value}",
             expected=label,
             ok=cmp is not banned,
-        ))
-    return report.finish()
+        )
 
+    return _report(f"path-signs {variant.value}", f"n=2..{max_n}",
+                   starmap(row, _paths(ctx, variant, max_n)))
 
-# ----------------------------------------------------------------------
-# far-star behavior of mutual-failures paths
-# ----------------------------------------------------------------------
 
 def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
     """From n = 5 on, mutual-failures paths exceed every remote star and
     carry atomic weight >= 1.  Smaller paths are reported informationally."""
-    report = CheckReport(name="farstar-paths", scope=f"n=2..{max_n}")
-    for n in range(2, max_n + 1):
-        value = ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)),
-                                   Variant.MUTUAL_FAILURES)
+    def row(n: int, value: GameId) -> CheckRow:
         order = ctx.atomic.remote_star_order(value)
         aw = ctx.atomic.atomic_weight(value)
         computed = f"{order.value}, AW={ctx.store.render(aw.value)}"
-        if n >= 5:
-            ok = order is Comparison.GREATER and aw.is_integer and aw.integer >= 1
-            report.rows.append(CheckRow(
-                instance=f"path {n}", computed=computed,
-                expected="Greater, AW>=1", ok=ok,
-            ))
-        else:
-            report.rows.append(CheckRow(instance=f"path {n}", computed=computed))
-    return report.finish()
+        if n < 5:
+            return CheckRow(instance=f"path {n}", computed=computed)
+        ok = order is Comparison.GREATER and aw.is_integer and aw.integer >= 1
+        return CheckRow(instance=f"path {n}", computed=computed,
+                        expected="Greater, AW>=1", ok=ok)
+
+    return _report("farstar-paths", f"n=2..{max_n}",
+                   starmap(row, _paths(ctx, Variant.MUTUAL_FAILURES, max_n)))
 
 
 # ----------------------------------------------------------------------
@@ -274,42 +261,55 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
 def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     """Exhaustive over connected graphs: classic Right-movable implies
     Left-movable, and forbidden-leaf Left-movable implies Right-movable."""
-    report = CheckReport(name="bias-props", scope=f"connected graphs, n<={max_vertices}")
-    reps = connected_graphs(max_vertices)
-    # only whether a move exists matters, so no automorphisms are needed
-    for n in sorted(reps):
-        moves = [_orbit_moves(g, ()) for g in reps[n]]
-        classic = [_sides(*m, Variant.CLASSIC) for m in moves]
-        fl = [_sides(*m, Variant.FORBIDDEN_LEAF) for m in moves]
-        classic_bad = sum(bool(rights and not lefts) for lefts, rights in classic)
-        fl_bad = sum(bool(lefts and not rights) for lefts, rights in fl)
-        ok = not classic_bad and not fl_bad
-        note = ""
-        if not ok:
-            note = f"{classic_bad} classic / {fl_bad} fl counterexamples"
-        report.rows.append(CheckRow(
-            instance=f"n={n} ({len(reps[n])} graphs)",
-            computed="no counterexamples" if ok else "counterexamples found",
-            expected="no counterexamples",
-            ok=ok,
-            note=note,
-        ))
-    return report.finish()
+    def rows() -> Iterator[CheckRow]:
+        reps = connected_graphs(max_vertices)
+        # only whether a move exists matters, so no automorphisms are needed
+        for n in sorted(reps):
+            moves = [_orbit_moves(g, ()) for g in reps[n]]
+            classic = [_sides(*m, Variant.CLASSIC) for m in moves]
+            fl = [_sides(*m, Variant.FORBIDDEN_LEAF) for m in moves]
+            classic_bad = sum(bool(rights and not lefts) for lefts, rights in classic)
+            fl_bad = sum(bool(lefts and not rights) for lefts, rights in fl)
+            ok = not classic_bad and not fl_bad
+            note = ""
+            if not ok:
+                note = f"{classic_bad} classic / {fl_bad} fl counterexamples"
+            yield CheckRow(
+                instance=f"n={n} ({len(reps[n])} graphs)",
+                computed="no counterexamples" if ok else "counterexamples found",
+                expected="no counterexamples",
+                ok=ok,
+                note=note,
+            )
+
+    return _report("bias-props", f"connected graphs, n<={max_vertices}", rows())
 
 
 # ----------------------------------------------------------------------
 # full run
 # ----------------------------------------------------------------------
 
-SUITE_NAMES = ("table-aw", "winners", "path-signs", "farstar", "bias")
+# each suite's reports, in run order
+SUITES: dict[str, Callable[[EngineContext, "VerifyConfig"], list[CheckReport]]] = {
+    "table-aw": lambda ctx, config: [check_table_aw(ctx, config.paths_to())],
+    "winners": lambda ctx, config: [check_winners(ctx, *run) for run in config.winner_runs()],
+    "path-signs": lambda ctx, config: [check_path_value_signs(ctx, variant, config.paths_to())
+                                       for variant in (Variant.CLASSIC, Variant.FORBIDDEN_LEAF)],
+    "farstar": lambda ctx, config: [check_farstar_paths(ctx, config.paths_to())],
+    "bias": lambda ctx, config: [check_bias_props(ctx, config.bias_max_vertices)],
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass
 class VerifyConfig:
     """What run_all checks.  max_n bounds table-aw, path-signs and farstar
     alike (None: the path family's default range); winners bounds left None
-    come from FAMILY_SIZES.  An empty winners range, a max_n below 2 or a
-    bias_max_vertices below 1 raises EmptyRange on creation."""
+    come from FAMILY_SIZES.  Creation checks the whole config, whichever
+    suites it selects: no suite, an unknown suite, a winners selection that
+    names no table, an empty winners range, a max_n below 2 or a
+    bias_max_vertices below 1 raises EmptyRange, and a range whose largest
+    graph has more than 255 vertices raises TooLarge."""
 
     suites: tuple[str, ...] = SUITE_NAMES
     max_n: Optional[int] = None
@@ -320,17 +320,29 @@ class VerifyConfig:
     winners_to: Optional[int] = None
 
     def __post_init__(self) -> None:
+        choices = f"(choose from {', '.join(SUITES)})"
+        if not self.suites:
+            raise EmptyRange(f"no suite selected {choices}")
+        for name in self.suites:
+            if name not in SUITES:
+                raise EmptyRange(f"unknown suite {name!r} {choices}")
         if self.max_n is not None and self.max_n < 2:
             raise EmptyRange(f"no size in n=2..{self.max_n} (the smallest is 2)")
         if self.bias_max_vertices < 1:
             raise EmptyRange(f"no connected graph in n<={self.bias_max_vertices} "
                              "(the smallest has 1 vertex)")
-        self.winner_runs()
+        runs = self.winner_runs()
+        if not runs:
+            selected = (self.winners_variant, self.winners_family)
+            raise EmptyRange("no winners table for "
+                             + " ".join(s.value for s in selected if s is not None))
+        # build raises TooLarge before building a graph it could not label
+        ends = [(family, hi) for _, family, _, hi in runs]
+        for family, hi in [(FamilyKind.PATH, self.paths_to())] + ends:
+            build(FamilySpec(family, hi))
 
     def winner_runs(self) -> list[tuple[Variant, FamilyKind, int, int]]:
         """(variant, family, lo, hi) for each winners report, in order."""
-        if "winners" not in self.suites:
-            return []
         runs = []
         for variant, family in WINNER_CLAIMS:
             if self.winners_variant not in (None, variant):
@@ -352,21 +364,8 @@ class VerifyConfig:
 
 
 def run_all(config: VerifyConfig, ctx: Optional[EngineContext] = None) -> list[CheckReport]:
-    """Run the selected suites and return their reports in a stable order."""
-    winner_runs = config.winner_runs()
+    """Run the selected suites and return their reports in SUITES order."""
     if ctx is None:
         ctx = make_context(max_component=_BYTE_LIMIT)
-    paths_to = config.paths_to()
-    reports: list[CheckReport] = []
-    if "table-aw" in config.suites:
-        reports.append(check_table_aw(ctx, paths_to))
-    for variant, family, lo, hi in winner_runs:
-        reports.append(check_winners(ctx, variant, family, lo, hi))
-    if "path-signs" in config.suites:
-        reports.append(check_path_value_signs(ctx, Variant.CLASSIC, paths_to))
-        reports.append(check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, paths_to))
-    if "farstar" in config.suites:
-        reports.append(check_farstar_paths(ctx, paths_to))
-    if "bias" in config.suites:
-        reports.append(check_bias_props(ctx, config.bias_max_vertices))
-    return reports
+    return [report for name, suite in SUITES.items() if name in config.suites
+            for report in suite(ctx, config)]

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +310,9 @@ class TestExitCodes:
          "no path size in n=9..3 (the smallest is 2)"),
         (["--family", "cycle", "--to", "2"],
          "no cycle size in n=3..2 (the smallest is 3)"),
+        (["--family", "star"], "no winners table for star"),
+        (["--family", "biclique"], "no winners table for biclique"),
+        (["--variant", "fl", "--family", "wheel"], "no winners table for fl wheel"),
     ])
     def test_empty_winners_range(self, args, problem, monkeypatch, capsys):
         # rejected before any suite runs, not reported as a pass
@@ -335,6 +340,24 @@ class TestExitCodes:
 
         monkeypatch.setattr("mdgame.cli.make_context", no_work)
         assert main(["verify"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("args, problem", [
+        (["--suite", "path-signs", "--max-n", "300"],
+         "path 300 has 300 vertices, above the canonicalization limit 255"),
+        (["--suite", "winners", "--variant", "classic", "--family", "cycle",
+          "--from", "250", "--to", "300"],
+         "cycle 300 has 300 vertices, above the canonicalization limit 255"),
+    ])
+    def test_range_above_255_vertices(self, args, problem, monkeypatch, capsys):
+        # such a range could never finish, so it is refused before any work
+        def no_work(**kwargs):
+            raise AssertionError("computed before checking the range's largest graph")
+
+        monkeypatch.setattr("mdgame.cli.make_context", no_work)
+        assert main(["verify"] + args) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {problem}\n"
@@ -444,3 +467,55 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "outcome: LeftWins" in done.stdout
+
+
+# ----------------------------------------------------------------------
+# the README's examples
+# ----------------------------------------------------------------------
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+
+
+def readme_commands():
+    """Each "$ mdgame ..." example of the README: its arguments and the
+    lines it prints."""
+    for _, block in BLOCKS:
+        for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *printed = example.rstrip("\n").split("\n")
+            yield pytest.param(shlex.split(command)[1:], printed, id=command)
+
+
+def test_readme_command_examples_found():
+    assert [p.id for p in readme_commands()] == [
+        'mdgame value "path 5" --variant mf',
+        'mdgame aw "path 9"',
+        'mdgame value "path 4" --variant classic --format json',
+        "mdgame verify --suite table-aw --max-n 12",
+    ]
+
+
+@pytest.mark.parametrize("args, printed", readme_commands())
+def test_readme_command_example(args, printed, capsys):
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    if printed[0].startswith("{"):
+        assert json.loads("\n".join(out)) == json.loads("\n".join(printed))
+        return
+    if "  ..." in printed:  # the example shows only the first and last rows
+        cut = printed.index("  ...")
+        out = out[:cut] + ["  ..."] + out[len(out) - len(printed) + cut + 1:]
+
+    def untimed(lines):
+        return [re.sub(r"\[\d+\.\d+s\]$", "[time]", line) for line in lines]
+
+    assert untimed(out) == untimed(printed)
+
+
+def test_readme_library_snippet(capsys):
+    code, = [block for lang, block in BLOCKS if lang == "python"]
+    exec(code, {})
+    printed = [line.rpartition("# ")[2] for line in code.splitlines()
+               if line.startswith("print(")]
+    assert printed == ["{0|{0,↑*|0,*}}", "LeftWins", "2"]
+    assert capsys.readouterr().out.splitlines() == printed

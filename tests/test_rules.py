@@ -309,6 +309,23 @@ class TestOracleAgreement:
             for variant in ALL_VARIANTS:
                 assert ctx.engine.outcome_of(g, variant) is ctx.oracle.outcome(g, variant)
 
+    def test_random_connected_graphs_of_eight_and_nine_vertices(self, ctx):
+        # a random tree plus 0..4 more edges: n-1 to n+3 edges, sparse enough
+        # for the Oracle, dense enough to reach every outcome class
+        rng = random.Random(24)
+        seen = set()
+        for n in (8, 9):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(40):
+                tree = {(rng.randrange(v), v) for v in range(1, n)}
+                extra = rng.sample([e for e in pairs if e not in tree], rng.randint(0, 4))
+                g = Graph.from_edges(n, sorted(tree) + extra)
+                for variant in ALL_VARIANTS:
+                    outcome = ctx.engine.outcome_of(g, variant)
+                    assert outcome is ctx.oracle.outcome(g, variant)
+                    seen.add(outcome)
+        assert seen == set(Outcome)
+
     def test_disconnected_positions(self, ctx):
         combos = [
             path(3).disjoint_union(path(4)),

@@ -1,5 +1,8 @@
 """Verification suites: row semantics, theorem ranges, determinism."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from mdgame import Outcome, make_context
@@ -9,6 +12,7 @@ from mdgame.verify import (
     CheckReport,
     CheckRow,
     CrossCheckFailure,
+    SUITE_NAMES,
     EmptyRange,
     VerifyConfig,
     check_bias_props,
@@ -167,6 +171,27 @@ class TestRunAll:
         reports = run_all(VerifyConfig(suites=("path-signs",)))
         assert [r.scope for r in reports] == ["n=2..16", "n=2..16"]
         assert all(r.passed for r in reports)
+
+    def test_reports_in_suite_order(self):
+        config = VerifyConfig(suites=tuple(reversed(SUITE_NAMES)), max_n=5,
+                              bias_max_vertices=3, winners_family=FamilyKind.PATH,
+                              winners_to=4)
+        ctx = make_context()
+        alone = [r.name for suite in SUITE_NAMES
+                 for r in run_all(replace(config, suites=(suite,)), ctx)]
+        assert [r.name for r in run_all(config, ctx)] == alone
+        assert len(alone) == 8  # winners for each variant, path-signs for two
+
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"suites": ()}, "no suite selected (choose from "
+                         "table-aw, winners, path-signs, farstar, bias)"),
+        ({"suites": ("winner",)}, "unknown suite 'winner' (choose from "
+                                  "table-aw, winners, path-signs, farstar, bias)"),
+        ({"winners_family": FamilyKind.STAR}, "no winners table for star"),
+    ])
+    def test_selection_that_checks_nothing(self, kwargs, problem):
+        with pytest.raises(EmptyRange, match=re.escape(problem)):
+            VerifyConfig(**kwargs)
 
     def test_winner_filters(self):
         config = VerifyConfig(
