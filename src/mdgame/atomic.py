@@ -19,6 +19,7 @@ by the store's memo_cap, like the store's own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -135,8 +136,15 @@ class AtomicCalculator:
         self, lefts: list[GameId], rights: list[GameId], base: int
     ) -> tuple[int, int]:
         """(x, y): least x exceeding-or-confused-with every left weight, and
-        greatest y undercutting-or-confused-with every right weight."""
+        greatest y undercutting-or-confused-with every right weight.  When
+        every weight is a number, x passes exactly when it exceeds every left
+        one and y when it is below every right one, so the bounds are found by
+        arithmetic; otherwise by _walk."""
         st = self.store
+        numbers = [st.number_value(v) for v in lefts + rights]
+        if lefts and rights and None not in numbers:
+            return (math.floor(max(numbers[:len(lefts)])) + 1,
+                    math.ceil(min(numbers[len(lefts):])) - 1)
 
         def x_ok(x: int) -> bool:
             xg = st.number_game(x)

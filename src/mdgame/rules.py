@@ -260,13 +260,17 @@ class GraphGameEngine:
     def _materialize(self, i: int) -> GameId:
         """Build loaded game i, and the file games it reaches, in the store
         by options_first, so a deep chain cannot overflow."""
-        ids = self._disk_ids
+        ids, read = self._disk_ids, {}  # read: records unpacked, their games not yet built
+
+        def options(j: int) -> tuple[int, ...]:
+            lo, ro = read[j] = self._options(j)
+            return lo + ro
 
         def build(j: int) -> None:
-            lo, ro = self._options(j)
+            lo, ro = read.pop(j)
             ids[j] = self.store.make_game([ids[k] for k in lo], [ids[k] for k in ro])
 
-        options_first(i, lambda j: sum(self._options(j), ()), ids, build)
+        options_first(i, options, ids, build)
         return ids[i]
 
     def _options(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,7 +7,8 @@ outcomes are cross-checked against the brute-force Oracle on every size of
 each family's default range; a disagreement there is not a "failed row"
 but an engine defect, so it raises CrossCheckFailure immediately.
 FAMILY_SIZES alone sizes the suites; the path suites share its path range.
-The suites build only the sizes their ranges name: they need no component limit.
+Each check builds its largest graph first and raises TooLarge, before any
+work, when that graph exceeds the engine's component limit.
 VerifyConfig refuses before any work a selection that checks nothing
 (EmptyRange, CLI exit 2) or a range above 255 vertices (TooLarge, exit 3).
 """
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .cgt import Comparison, EngineError, GameId, Outcome
 from .families import FamilyKind, FamilySpec, build
-from .graphs import _BYTE_LIMIT, connected_graphs
+from .graphs import _BYTE_LIMIT, TooLarge, connected_graphs
 from .rules import EngineContext, Variant, _orbit_moves, _sides, make_context
 
 
@@ -138,6 +139,14 @@ def _cross_check(ctx: EngineContext, spec: FamilySpec, variant: Variant,
     return True
 
 
+def _fits(ctx: EngineContext, family: FamilyKind, n: int) -> None:
+    """Raise TooLarge unless the family's graph of size n fits ctx's engine."""
+    g = build(FamilySpec(family, n))  # raises TooLarge above 255 vertices
+    if g.n > ctx.engine.max_component:
+        raise TooLarge(f"{family.value} {n} has {g.n} vertices, above the "
+                       f"component limit {ctx.engine.max_component}")
+
+
 # ----------------------------------------------------------------------
 # winner theorems
 # ----------------------------------------------------------------------
@@ -170,8 +179,11 @@ WINNER_CLAIMS: dict[tuple[Variant, FamilyKind], WinnerClaim] = {
 def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
                   lo: int, hi: int) -> CheckReport:
     """Outcomes across a family range, asserted where a theorem applies.
-    Raises EmptyRange when no size of the family lies in lo..hi."""
+    Raises EmptyRange when no size of the family lies in lo..hi, and
+    TooLarge when the largest does not fit ctx's engine."""
     claim = WINNER_CLAIMS.get((variant, family))
+    sizes = _sizes(family, lo, hi)
+    _fits(ctx, family, sizes[-1])
 
     def row(n: int) -> CheckRow:
         spec = FamilySpec(family, n)
@@ -183,7 +195,7 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
                         ok=None if claimed is None else outcome is claimed)
 
     return _report(f"winners {variant.value} {family.value}", f"n={lo}..{hi}",
-                   map(row, _sizes(family, lo, hi)))
+                   map(row, sizes))
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +203,11 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
 # ----------------------------------------------------------------------
 
 def _paths(ctx: EngineContext, variant: Variant, max_n: int) -> Iterator[tuple[int, GameId]]:
-    """Each path 2..max_n with its value under variant."""
-    for n in range(2, max_n + 1):
-        yield n, ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)), variant)
+    """Each path 2..max_n with its value under variant, valued as iterated;
+    raises TooLarge at once when path max_n does not fit ctx's engine."""
+    _fits(ctx, FamilyKind.PATH, max_n)
+    return ((n, ctx.engine.game_of(build(FamilySpec(FamilyKind.PATH, n)), variant))
+            for n in range(2, max_n + 1))
 
 
 def check_table_aw(ctx: EngineContext, max_n: int) -> CheckReport:

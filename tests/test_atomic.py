@@ -1,6 +1,7 @@
 """Atomic weights and remote-star comparisons."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from mdgame import (
     make_context,
     two_ahead_bound,
 )
+from mdgame import atomic
 from mdgame.families import path
 from mdgame.rules import Variant
 
@@ -112,6 +114,32 @@ class TestAtomicWeight:
             fresh.atomic_weight(g)
         tables = [t for t in vars(fresh).values() if isinstance(t, dict)]
         assert len(tables) == 2 and all(len(t) <= cap for t in tables)
+
+
+class TestIntegerExceptionBounds:
+    def test_number_weights_match_the_walk(self, ctx, monkeypatch):
+        # with number weights only the bounds come by arithmetic, not _walk;
+        # the walk, over the passing tests the calculator used to walk, must
+        # find the same bounds from any base
+        st, walk = ctx.store, atomic._walk
+        rng = random.Random(29)
+
+        def weights():
+            return [st.number_game(Fraction(rng.randint(-24, 24), 1 << rng.randint(0, 3)))
+                    for _ in range(rng.randint(1, 4))]
+
+        def refuse(*args):
+            raise AssertionError("_walk called on number weights")
+
+        for _ in range(300):
+            lefts, rights, base = weights(), weights(), rng.randint(-8, 8)
+            expected = (walk(lambda x: all(not st.leq(st.number_game(x), v) for v in lefts),
+                             base, -1),
+                        walk(lambda y: all(not st.leq(w, st.number_game(y)) for w in rights),
+                             base, 1))
+            with monkeypatch.context() as m:
+                m.setattr(atomic, "_walk", refuse)
+                assert ctx.atomic._integer_exception_bounds(lefts, rights, base) == expected
 
 
 class TestTwoAhead:

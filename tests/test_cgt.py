@@ -13,6 +13,7 @@ import pytest
 import rawgames as raw
 import mdgame
 from mdgame import AtomicCalculator, Comparison, GameStore, MemoCapExceeded, Outcome
+from mdgame.cgt import options_first
 from mdgame.families import path, wheel
 from mdgame.rules import Variant, make_context
 
@@ -150,6 +151,17 @@ class TestOrdering:
         assert not raw.leq(raw.UP, raw.STAR)
         assert not raw.leq(raw.STAR, raw.UP)
 
+    def test_deep_numbers_compare_by_their_facts(self):
+        # integers 3,000 deep, past the recursion limit: answered from the
+        # number facts, interning no game and storing no comparison
+        st = GameStore()
+        a, b = st.number_game(2999), st.number_game(3000)
+        half = st.number_game(Fraction(5999, 2))
+        games = len(st)
+        assert st.leq(a, b) and not st.leq(b, a)
+        assert st.compare(a, half) is Comparison.LESS and st.compare(b, half) is Comparison.GREATER
+        assert len(st) == games and st._leq_count == 0
+
     def test_day2_exhaustive_matches_raw(self):
         st = GameStore()
         day1_raw = [raw.ZERO, raw.STAR, raw.ONE, raw.NEG_ONE]
@@ -252,6 +264,57 @@ class TestMirror:
         assert n == 276
         for g in range(n):
             assert st.add(g, st.negate(g)) == st.zero
+
+
+class TestReferenceOrder:
+    """GameStore.leq against the defining recursion, tried Left first with
+    its own memo, no cancellation and no number facts, on every ordered
+    pair of a pool of the engine's values, asked in seeded random orders."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        ctx = make_context()
+        st = ctx.store
+        base = [ctx.engine.game_of(wheel(n), v) for v in Variant for n in range(3, 7)]
+        for n in range(2, 13):
+            g = ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
+            base += [g, ctx.atomic.atomic_weight(g).value]
+        base = sorted(set(base))
+        sums = [(i, j) for i in range(len(base)) for j in range(i, len(base))]
+        games = base + [st.add(base[i], base[j]) for i, j in sums]
+        memo = {}
+
+        def leq(a, b):
+            if (a, b) not in memo:
+                memo[a, b] = (not any(leq(b, al) for al in st.left_options(a))
+                              and not any(leq(br, a) for br in st.right_options(b)))
+            return memo[a, b]
+
+        expected = [[leq(a, b) for b in games] for a in games]
+        return st, base, sums, expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_pair_on_a_fresh_store(self, pool, seed):
+        src, base, sums, expected = pool
+        st, ids = GameStore(), {}
+
+        def copy(h):  # canonical already, so interned as it stands: no comparison
+            ids[h] = st._intern(tuple(sorted(ids[o] for o in src.left_options(h))),
+                                tuple(sorted(ids[o] for o in src.right_options(h))))
+
+        for g in base:
+            options_first(g, lambda h: src.left_options(h) + src.right_options(h), ids, copy)
+        rng = random.Random(seed)
+        games = [ids[g] for g in base]
+        order = list(range(len(sums)))
+        rng.shuffle(order)  # sums built in a seeded order fill the memo and the parts
+        built = {k: st.add(games[sums[k][0]], games[sums[k][1]]) for k in order}
+        games += [built[k] for k in range(len(sums))]
+        pairs = [(i, j) for i in range(len(games)) for j in range(len(games))]
+        rng.shuffle(pairs)
+        assert len(pairs) > 50_000 and 0 < sum(map(sum, expected)) < len(pairs) // 2
+        for i, j in pairs:
+            assert st.leq(games[i], games[j]) == expected[i][j]
 
 
 # ----------------------------------------------------------------------
@@ -541,22 +604,25 @@ def test_memo_cap_bounds_sums():
 def test_memo_cap_counts_comparisons_across_rows():
     cap = 40
 
-    def integers(st):
-        ints = [st.zero]
-        for _ in range(12):
-            ints.append(st._intern((ints[-1],), ()))  # n + 1 = {n|}, no memo entry
-        return ints
+    def ups(st):
+        # n.up = {0|(n-1).up*} and n.up* = {0|(n-1).up}, no memo entry; not
+        # integers, which leq compares by their number facts, storing nothing
+        games = [st.up, st.up_star]
+        for _ in range(6):
+            up, up_star = games[-2:]
+            games += [st._intern((st.zero,), (up_star,)), st._intern((st.zero,), (up,))]
+        return games
 
     free = GameStore()
-    ints = integers(free)
-    pairs = [(a, b) for a in ints for b in ints]
+    games = ups(free)
+    pairs = [(a, b) for a in games for b in games]
     grown = []
     for a, b in pairs:
         free.leq(a, b)
         grown.append(sum(map(len, free._leq)))
     stop = next(i for i, n in enumerate(grown) if n > cap)
     st = GameStore(memo_cap=cap)
-    assert integers(st) == ints
+    assert ups(st) == games
     for a, b in pairs[:stop]:
         assert st.leq(a, b) == free.leq(a, b)
     assert st._leq_count == sum(map(len, st._leq))  # the count is exact

@@ -785,6 +785,29 @@ class TestCachePersistence:
         assert ctx.store.birthday(g) == ctx.store.number_value(g) == depth - 1
         assert ctx.store.outcome(g) is Outcome.LEFT_WINS
 
+    def test_each_loaded_record_is_read_once(self, tmp_path, monkeypatch):
+        ctx = make_context()
+        for variant in ALL_VARIANTS:
+            for n in range(3, 7):
+                ctx.engine.game_of(wheel(n), variant)
+        cache = tmp_path / "values.mdgc"
+        ctx.engine.save_cache(str(cache))
+        fresh = make_context()
+        assert fresh.engine.load_cache(str(cache)) is True
+        reads = collections.Counter()
+        options = fresh.engine._options
+
+        def counted(i):
+            reads[i] += 1
+            return options(i)
+
+        monkeypatch.setattr(fresh.engine, "_options", counted)
+        for variant in ALL_VARIANTS:
+            for n in range(3, 7):
+                fresh.engine.game_of(wheel(n), variant)
+        assert len(fresh.engine._disk_ids) > 50
+        assert dict(reads) == dict.fromkeys(fresh.engine._disk_ids, 1)  # each built game once
+
     @pytest.mark.parametrize("depth", [4, 50, 3000])
     def test_a_chain_deeper_than_its_position_is_rejected(self, tmp_path, depth):
         # path 3 has 2 edges, so no value of it is deeper than 2; the last of

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mdgame import Outcome, make_context
+from mdgame import Outcome, TooLarge, make_context
 from mdgame.families import FamilyKind
 from mdgame.rules import Variant
 from mdgame.verify import (
@@ -114,6 +114,41 @@ class TestSignsAndFarstar:
         assert rows["path 3"].ok is None  # informational below n = 5
         assert rows["path 5"].ok is True
         assert report.passed
+
+
+class TestOversizedChecks:
+    """A check whose largest graph does not fit its engine refuses before
+    valuing any graph."""
+
+    @staticmethod
+    def idle(max_component):
+        ctx = make_context(max_component=max_component)
+
+        def game_of(*args):
+            raise AssertionError("a graph was valued before the size check")
+
+        ctx.engine.game_of = game_of  # outcome_of goes through it too
+        return ctx
+
+    @pytest.mark.parametrize("check", [
+        lambda ctx, n: check_table_aw(ctx, n),
+        lambda ctx, n: check_farstar_paths(ctx, n),
+        lambda ctx, n: check_path_value_signs(ctx, Variant.CLASSIC, n),
+        lambda ctx, n: check_path_value_signs(ctx, Variant.FORBIDDEN_LEAF, n),
+        lambda ctx, n: check_winners(ctx, Variant.MUTUAL_FAILURES, FamilyKind.PATH, 2, n),
+    ])
+    def test_paths_past_the_limit(self, check):
+        with pytest.raises(TooLarge, match="above the component limit 10"):
+            check(self.idle(10), 11)
+        with pytest.raises(TooLarge, match="above the canonicalization limit 255"):
+            check(self.idle(255), 300)
+
+    def test_winners_past_the_limit(self):
+        # wheel 10 has 11 vertices
+        with pytest.raises(TooLarge, match="wheel 10 has 11 vertices"):
+            check_winners(self.idle(10), Variant.CLASSIC, FamilyKind.WHEEL, 3, 10)
+        with pytest.raises(TooLarge):
+            check_winners(self.idle(255), Variant.CLASSIC, FamilyKind.CYCLE, 250, 300)
 
 
 class TestBias:
