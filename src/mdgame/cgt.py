@@ -48,10 +48,12 @@ says so, and an up multiple when its chain of single options leads to up
 or up*, so naming and rendering build no game.
 
 One walk, options_first, builds every game options first from an explicit
-stack, in the order a recursion would: negations, a value's brace text and
-its length (checked before any text is built), and, in the graph engine,
-loaded cache games and the games a save writes.  So none of these recurses
-over a game's depth.  leq answers two numbers from their number facts,
+stack, in the order a recursion would: negations, numbers and nimbers, a
+value's brace text and its length (checked before any text is built), and,
+in the graph engine, loaded cache games and the games a save writes.  So
+none of these recurses over a game's depth.  Negations, numbers and nimbers
+have known canonical forms, which are interned as they stand, comparing
+nothing.  leq answers two numbers from their number facts,
 exactly and interning no game, so leq on the integers 2999 and 3000 returns
 True; it still recurses over other deep games, and add still recurses.
 
@@ -73,7 +75,6 @@ everything built on it, is not thread-safe: use one per thread.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -137,23 +138,6 @@ def _ups_text(count: int, plus_star: bool) -> str:
     mag = abs(count)
     base = arrow if mag == 1 else f"{mag}·{arrow}"
     return base + ("*" if plus_star else "")
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The simplest number strictly between lo and hi (requires lo < hi)."""
-    if lo < 0 < hi:
-        return Fraction(0)
-    n = math.floor(lo) + 1  # least integer > lo
-    if n < hi:
-        if n > 0:
-            return Fraction(n)
-        return Fraction(math.ceil(hi) - 1)  # greatest integer < hi
-    j = 1
-    while True:
-        k = math.floor(lo * (1 << j)) + 1
-        if Fraction(k, 1 << j) < hi:
-            return Fraction(k, 1 << j)
-        j += 1
 
 
 def options_first(root, options, built, build) -> None:
@@ -243,20 +227,17 @@ class GameStore:
         return gid
 
     def _number_from(self, left: tuple, right: tuple) -> Optional[Fraction]:
-        """The number {left|right} equals, found from its options' numbers, or None."""
-        if not left and not right:
-            return Fraction(0)
+        """The number {left|right} equals, found from its options' numbers, or
+        None.  Every interned game is canonical, and a number's canonical form
+        is {|} = 0, {x|} = x + 1, {|y} = y - 1 or {x|y} = (x + y)/2, x < y."""
         if len(left) > 1 or len(right) > 1:
             return None
-        lv = self._number[left[0]] if left else None
-        rv = self._number[right[0]] if right else None
-        if not right:
-            return lv + 1 if lv is not None and lv.denominator == 1 and lv >= 0 else None
-        if not left:
-            return rv - 1 if rv is not None and rv.denominator == 1 and rv <= 0 else None
-        if lv is None or rv is None or not lv < rv:
+        v = [self._number[o] for o in left + right]
+        if None in v:
             return None
-        return _simplest_between(lv, rv)
+        if left and right:
+            return (v[0] + v[1]) / 2 if v[0] < v[1] else None
+        return v[0] + 1 if left else v[0] - 1 if right else Fraction(0)
 
     def _memo_put(self, table: dict, key, value):
         cap = self.memo_cap
@@ -475,47 +456,44 @@ class GameStore:
         return fr.numerator
 
     def number_game(self, value) -> GameId:
-        """Canonical game equal to the dyadic rational ``value``."""
+        """Canonical game equal to the dyadic rational ``value``: n = {n-1|},
+        -n = {|1-n} or m/2^k = {(m-1)/2^k | (m+1)/2^k}, from the numbers built."""
         hit = self._number_games.get(value)  # an int finds the equal Fraction key
         if hit is not None:
             return hit
         fr = Fraction(value)
         if fr.denominator & (fr.denominator - 1):
             raise ValueError(f"{value} is not a dyadic rational")
-        if fr == 0:
-            g = self.zero
-        elif fr.denominator == 1:  # built up from the nearest integer built
-            n = fr.numerator
-            step = 1 if n > 0 else -1
-            k = n - step
-            while k and k not in self._number_games:
-                k -= step
-            g = self.number_game(k)
-            while k != n:
-                k += step
-                g = self.make_game([g], []) if step > 0 else self.make_game([], [g])
-                self._memo_put(self._number_games, Fraction(k), g)
-        else:
-            step = Fraction(1, fr.denominator)
-            g = self.make_game([self.number_game(fr - step)], [self.number_game(fr + step)])
-        return self._memo_put(self._number_games, fr, g)
+        built = self._number_games
+
+        def sides(x: Fraction) -> tuple[tuple, tuple]:
+            step = Fraction(1, x.denominator)
+            return (((x - step,) if x.denominator > 1 or x > 0 else ()),
+                    ((x + step,) if x.denominator > 1 or x < 0 else ()))
+
+        def build(x: Fraction) -> None:
+            g = self._intern(*(tuple(built[o] for o in side) for side in sides(x)))
+            self._memo_put(built, x, g)
+
+        options_first(fr, lambda x: sum(sides(x), ()), built, build)
+        return built[fr]
 
     def nimber_order(self, g: GameId) -> Optional[int]:
         """k when g == *k (k == 0 meaning g == 0), else None."""
         return self._nimber[g]
 
     def nimber_game(self, order: int) -> GameId:
+        """*k = {*0,...,*(k-1) | *0,...,*(k-1)} for k = order, each *j built
+        before *k, so the options are in handle order."""
         if order < 0:
             raise ValueError("nimber order must be nonnegative")
-        hit = self._nimber_games.get(order)
-        if hit is not None:
-            return hit
-        if order == 0:
-            g = self.zero
-        else:
-            opts = [self.nimber_game(k) for k in range(order)]
-            g = self.make_game(opts, opts)
-        return self._memo_put(self._nimber_games, order, g)
+        built = self._nimber_games
+
+        def build(k: int) -> None:
+            self._memo_put(built, k, self._intern(*(tuple(built[j] for j in range(k)),) * 2))
+
+        options_first(order, range, built, build)
+        return built[order]
 
     def ups_game(self, count: int, plus_star: bool = False) -> GameId:
         """count copies of up (negative counts give downs), plus * if asked."""

@@ -206,60 +206,9 @@ def labeling(g: Graph, known: Container[bytes] = ()) -> tuple[bytes, tuple[bytes
     and the form is g's.  Bytes from anywhere else, such as cache-file
     keys, must never be put in known.
     """
-    if g.n > _BYTE_LIMIT:
-        raise TooLarge(
-            f"graph has {g.n} vertices, above the canonicalization limit {_BYTE_LIMIT}"
-        )
-    return _canonical_bytes(g.n, g.adj, known)
-
-
-def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
-    """Split ordered cell bitmasks until the partition is equitable.
-
-    Each splitter in turn (the list grows in place) splits every cell by
-    its vertices' neighbor counts in the splitter; pieces replace the cell
-    in increasing count order, so the result is label-invariant.  All but
-    the last piece become splitters: the last's counts are the cell's,
-    constant by then, minus its siblings', processed just before it, so it
-    would split nothing.  A one-vertex splitter's counts are 0 or 1, so it
-    splits each cell by that vertex's row alone.  Sound for the search's
-    two calls: all vertices as one cell and splitter, and an equitable
-    partition with v split off a cell and {v} as splitter.
-    """
-    for s in splitters:
-        row = None if s & (s - 1) else adj[s.bit_length() - 1]
-        out = []
-        for cell in cells:
-            pieces = None
-            if row is not None:
-                hit = cell & row
-                if hit and hit != cell:
-                    pieces = [cell ^ hit, hit]
-            elif cell & (cell - 1):
-                parts: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    k = (adj[low.bit_length() - 1] & s).bit_count()
-                    parts[k] = parts.get(k, 0) | low
-                if len(parts) > 1:
-                    pieces = [parts[k] for k in sorted(parts)]
-            if pieces:
-                out += pieces
-                splitters += pieces[:-1]  # the last splits nothing, see above
-            else:
-                out.append(cell)
-        cells = out
-        if len(cells) == len(adj):
-            break
-    return cells
-
-
-def _canonical_bytes(n: int, adj: tuple[int, ...],
-                     known: Container[bytes] = ()) -> tuple[bytes, tuple[bytes, ...]]:
-    """Canonical bytes of (n, adj) and the automorphisms the search found,
-    or the first leaf's bytes that are in known and no automorphisms."""
+    n, adj = g.n, g.adj
+    if n > _BYTE_LIMIT:
+        raise TooLarge(f"graph has {n} vertices, above the canonicalization limit {_BYTE_LIMIT}")
     if n == 0:
         return b"\x00", ()
     head, nbytes = bytes([n]), (n * (n - 1) // 2 + 7) // 8
@@ -344,6 +293,49 @@ def _canonical_bytes(n: int, adj: tuple[int, ...],
     stopped = search(_refine(adj, [full], [full]), ())
     assert best is not None
     return head + best.to_bytes(nbytes, "big"), () if stopped else tuple(autos)
+
+
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split ordered cell bitmasks until the partition is equitable.
+
+    Each splitter in turn (the list grows in place) splits every cell by
+    its vertices' neighbor counts in the splitter; pieces replace the cell
+    in increasing count order, so the result is label-invariant.  All but
+    the last piece become splitters: the last's counts are the cell's,
+    constant by then, minus its siblings', processed just before it, so it
+    would split nothing.  A one-vertex splitter's counts are 0 or 1, so it
+    splits each cell by that vertex's row alone.  Sound for the search's
+    two calls: all vertices as one cell and splitter, and an equitable
+    partition with v split off a cell and {v} as splitter.
+    """
+    for s in splitters:
+        row = None if s & (s - 1) else adj[s.bit_length() - 1]
+        out = []
+        for cell in cells:
+            pieces = None
+            if row is not None:
+                hit = cell & row
+                if hit and hit != cell:
+                    pieces = [cell ^ hit, hit]
+            elif cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (adj[low.bit_length() - 1] & s).bit_count()
+                    parts[k] = parts.get(k, 0) | low
+                if len(parts) > 1:
+                    pieces = [parts[k] for k in sorted(parts)]
+            if pieces:
+                out += pieces
+                splitters += pieces[:-1]  # the last splits nothing, see above
+            else:
+                out.append(cell)
+        cells = out
+        if len(cells) == len(adj):
+            break
+    return cells
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .cgt import Comparison, EngineError, GameId, Outcome
 from .families import FamilyKind, FamilySpec, build
-from .graphs import _BYTE_LIMIT, TooLarge, connected_graphs
+from .graphs import _BYTE_LIMIT, Graph, TooLarge, connected_graphs
 from .rules import EngineContext, Variant, _orbit_moves, _sides, make_context
 
 
@@ -126,11 +126,11 @@ def _sizes(family: FamilyKind, lo: int, hi: int) -> range:
     return sizes
 
 
-def _cross_check(ctx: EngineContext, spec: FamilySpec, variant: Variant,
+def _cross_check(ctx: EngineContext, spec: FamilySpec, g: Graph, variant: Variant,
                  computed: Outcome) -> bool:
     if spec.a > FAMILY_SIZES[spec.kind].default_largest:
         return False
-    actual = ctx.oracle.outcome(build(spec), variant)
+    actual = ctx.oracle.outcome(g, variant)
     if actual is not computed:
         raise CrossCheckFailure(
             f"{variant.value} {spec}: engine says {computed.value}, "
@@ -187,8 +187,9 @@ def check_winners(ctx: EngineContext, variant: Variant, family: FamilyKind,
 
     def row(n: int) -> CheckRow:
         spec = FamilySpec(family, n)
-        outcome = ctx.engine.outcome_of(build(spec), variant)
-        note = "oracle agrees" if _cross_check(ctx, spec, variant, outcome) else ""
+        g = build(spec)
+        outcome = ctx.engine.outcome_of(g, variant)
+        note = "oracle agrees" if _cross_check(ctx, spec, g, variant, outcome) else ""
         claimed = claim.winner if claim is not None and claim.applies(n) else None
         return CheckRow(instance=str(spec), computed=outcome.value, note=note,
                         expected=None if claimed is None else claimed.value,

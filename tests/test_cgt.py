@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -572,7 +573,7 @@ class TestAllSmall:
 def test_memo_cap_fails_loudly():
     st = GameStore(memo_cap=4)
     with pytest.raises(MemoCapExceeded):
-        # forcing many distinct comparisons blows the leq table
+        # the tables of numbers and nimbers built outgrow the cap
         for n in range(10):
             st.number_game(n)
             st.nimber_game(n)
@@ -654,8 +655,90 @@ def test_number_game_rejects_non_dyadic_values(value):
 
 
 # ----------------------------------------------------------------------
+# numbers and nimbers, interned as their known canonical forms
+# ----------------------------------------------------------------------
+
+def reference_number(st, x, memo):
+    """x's game built by make_game from its canonical options, by recursion."""
+    if x not in memo:
+        step = Fraction(1, x.denominator)
+        left = [reference_number(st, x - step, memo)] if x.denominator > 1 or x > 0 else []
+        right = [reference_number(st, x + step, memo)] if x.denominator > 1 or x < 0 else []
+        memo[x] = st.make_game(left, right)
+    return memo[x]
+
+
+def reference_nimber(st, k, memo):
+    if k not in memo:
+        opts = [reference_nimber(st, j, memo) for j in range(k)]
+        memo[k] = st.make_game(opts, opts)
+    return memo[k]
+
+
+NUMBERS = [Fraction(j, 1 << k) for k in range(5) for j in range(-6 << k, (6 << k) + 1)]
+
+
+class TestKnownCanonicalForms:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_make_game_in_seeded_orders(self, seed):
+        rng = random.Random(seed)
+        asks = [("number", x) for x in NUMBERS] + [("nimber", k) for k in range(13)]
+        rng.shuffle(asks)
+        st, memos = GameStore(), {"number": {}, "nimber": {}}
+
+        def reference(kind, x):
+            build = reference_number if kind == "number" else reference_nimber
+            return build(st, x, memos[kind])
+
+        if seed % 2:  # the references first: the builders must find their games
+            for ask in asks:
+                reference(*ask)
+        for kind, x in asks:
+            g = st.number_game(x) if kind == "number" else st.nimber_game(x)
+            assert g == reference(kind, x)
+            facts = (st.number_value(g), st.nimber_order(g))
+            assert facts == ((x, 0 if x == 0 else None) if kind == "number"
+                             else (0 if x == 0 else None, x))
+
+    def test_build_with_no_comparison(self, monkeypatch):
+        def refuse(self, left, right):
+            raise AssertionError("make_game called")
+
+        monkeypatch.setattr(GameStore, "make_game", refuse)
+        st = GameStore()
+        for x in NUMBERS:
+            assert st.number_value(st.number_game(x)) == x
+        assert st.nimber_order(st.nimber_game(60)) == 60
+        assert st._leq_count == 0
+
+    def test_deep_forms_need_no_recursion(self):
+        st = GameStore()
+        x = Fraction(1, 2 ** 1500)
+        g = st.number_game(x)
+        assert st.number_value(g) == x and st.birthday(g) == 1501
+        assert st.number_value(st.number_game(-5000)) == -5000
+        g = st.nimber_game(400)
+        assert st.nimber_order(g) == 400 and st._leq_count == 0
+
+
+# ----------------------------------------------------------------------
 # structural facts, against their recursive definitions
 # ----------------------------------------------------------------------
+
+def simplest_between(lo, hi):
+    """The simplest number strictly between lo and hi (requires lo < hi):
+    0 if it lies between them, else the integer nearest 0 between them, else
+    the least k/2^j between them with the least j."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    n = math.floor(lo) + 1  # least integer > lo
+    if n < hi:
+        return Fraction(n) if n > 0 else Fraction(math.ceil(hi) - 1)
+    j = 1
+    while Fraction(math.floor(lo * (1 << j)) + 1, 1 << j) >= hi:
+        j += 1
+    return Fraction(math.floor(lo * (1 << j)) + 1, 1 << j)
+
 
 def recursive_facts(st):
     """Birthday, all-small, nimber order, number value and largest nimber
@@ -702,7 +785,7 @@ def recursive_facts(st):
         lv, rv = number(left[0]), number(right[0])
         if lv is None or rv is None or not lv < rv:
             return None
-        return mdgame.cgt._simplest_between(lv, rv)
+        return simplest_between(lv, rv)
 
     @functools.cache
     def largest_nimber(g):
