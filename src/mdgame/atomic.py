@@ -142,7 +142,7 @@ class AtomicCalculator:
         arithmetic; otherwise by _walk."""
         st = self.store
         numbers = [st.number_value(v) for v in lefts + rights]
-        if lefts and rights and None not in numbers:
+        if lefts and rights and all(x is not None for x in numbers):  # by identity, not ==
             return (math.floor(max(numbers[:len(lefts)])) + 1,
                     math.ceil(min(numbers[len(lefts):])) - 1)
 

@@ -12,10 +12,11 @@ ones kept so far, and a reversible option of either side is found by one
 comparison against the game not yet interned, Right mirroring Left.
 
 Sums feed ordering through cancellation: for short games x + y <= x + z
-exactly when y <= z.  add() records each sum g = a + b whose summands are
-both born earlier than g, and leq() on a pair of recorded sums that share
-a summand answers from the other two.  The birthday guard makes every such
-step shrink the games compared, so the reduction ends: without it,
+exactly when y <= z.  add() records g = a + b under a and b and, when it
+first builds g from three or more summands, under each summand and the
+built sum of the rest, if both are born before g.  leq() on two sums
+sharing a summand answers from the other two.  The birthday guard makes
+each step shrink the games compared, so the reduction ends: without it,
 ↑ = ↑* + * and ↑* = ↑ + * would send leq(↑*, ↑) to leq(↑, ↑*) and back.
 
 Sums are also memoized by their multiset of summands.  Each sum add()
@@ -33,7 +34,8 @@ hashes one int.  The rows form a list parallel to ``_left`` and
 handle.  Under ``memo_cap`` the rows count as one table: their total
 number of entries is bounded.  When a <= b is not stored but b <= a is
 stored as true, leq answers false without storing it: distinct handles
-are distinct values.
+are distinct values.  Nor does it store an answer found by cancellation:
+asking again reads the younger comparison's entry in its place.
 
 Five facts of a game follow from its options' facts: its birthday,
 whether it is all-small, its nimber order, its number value, and the
@@ -62,8 +64,8 @@ a's Left options (b <= aL).  Either order decides the same relation; the
 order was chosen by measurement.  On the benchmark's reload workload at seed
 1, whose comparisons are mostly of all-small games with many Right options,
 Right's witnesses first made 160,422 calls to leq where Left's first made
-222,648.  Reading a memo row inline before each recursive call, to save the
-call, was measured too and did not pay, so leq and _beyond make the call.
+222,648.  Reading a memo row inline before a recursive call did not pay,
+when measured, so leq and _beyond make the call, but for cancellation.
 
 make_game keeps no memo of raw option sets, which seldom repeat; callers
 that do repeat them, like the atomic weight recursion, keep their own.
@@ -233,8 +235,9 @@ class GameStore:
         if len(left) > 1 or len(right) > 1:
             return None
         v = [self._number[o] for o in left + right]
-        if None in v:
-            return None
+        for x in v:
+            if x is None:  # by identity: Fraction.__eq__(None) is slow
+                return None
         if left and right:
             return (v[0] + v[1]) / 2 if v[0] < v[1] else None
         return v[0] + 1 if left else v[0] - 1 if right else Fraction(0)
@@ -289,8 +292,9 @@ class GameStore:
             if pb:
                 for x, y in pa.items():
                     z = pb.get(x)
-                    if z is not None:
-                        return self._leq_put(row, b, self.leq(y, z))
+                    if z is not None:  # derived, so not stored: see the module docstring
+                        hit = self._leq[y].get(z)
+                        return self.leq(y, z) if hit is None else hit
         # a <= b unless some br <= a or b <= some al; Right's witnesses first
         for br in self._right[b]:
             if self.leq(br, a):
@@ -392,6 +396,7 @@ class GameStore:
             return hit
         summands = tuple(sorted(self._summands.get(a, (a,)) + self._summands.get(b, (b,))))
         g = self._sums.get(summands)
+        pairs = [(a, b)]
         if g is None:  # not built yet in any order or grouping
             lefts = [self.add(al, b) for al in self._left[a]]
             lefts += [self.add(a, bl) for bl in self._left[b]]
@@ -401,16 +406,23 @@ class GameStore:
             if g not in self._summands and g not in summands:  # see the module docstring
                 self._memo_put(self._summands, g, summands)
             self._memo_put(self._sums, summands, g)
+            if len(summands) > 2:  # each summand and the sum of the rest, if built
+                pairs += [(x, self._sums.get(summands[:i] + summands[i + 1:]))
+                          for i, x in enumerate(summands)]
         day = self.birthday(g)
-        if self.birthday(a) < day and self.birthday(b) < day:  # see the module docstring
-            parts = self._parts.get(g) or self._memo_put(self._parts, g, {})
-            parts[a] = b  # in place: leq iterates these dicts but never calls add
-            parts[b] = a
+        for x, y in pairs:  # both born before g: see the module docstring
+            if y is not None and self.birthday(x) < day and self.birthday(y) < day:
+                parts = self._parts.get(g) or self._memo_put(self._parts, g, {})
+                parts[x] = y  # in place: leq iterates these dicts but never calls add
+                parts[y] = x
         return self._memo_put(self._add, key, g)
 
     def negate(self, g: GameId) -> GameId:
         """-g, built by options_first over Right's options, then Left's."""
         neg = self._neg
+        hit = neg.get(g)
+        if hit is not None:
+            return hit
 
         def build(h: GameId) -> None:
             left = tuple(sorted(neg[r] for r in self._right[h]))
@@ -485,9 +497,12 @@ class GameStore:
     def nimber_game(self, order: int) -> GameId:
         """*k = {*0,...,*(k-1) | *0,...,*(k-1)} for k = order, each *j built
         before *k, so the options are in handle order."""
+        built = self._nimber_games
+        hit = built.get(order)
+        if hit is not None:
+            return hit
         if order < 0:
             raise ValueError("nimber order must be nonnegative")
-        built = self._nimber_games
 
         def build(k: int) -> None:
             self._memo_put(built, k, self._intern(*(tuple(built[j] for j in range(k)),) * 2))

@@ -277,12 +277,13 @@ class TestReferenceOrder:
         ctx = make_context()
         st = ctx.store
         base = [ctx.engine.game_of(wheel(n), v) for v in Variant for n in range(3, 7)]
-        for n in range(2, 13):
-            g = ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES)
-            base += [g, ctx.atomic.atomic_weight(g).value]
-        base = sorted(set(base))
+        paths = [ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES) for n in range(2, 13)]
+        base = sorted(set(base + paths + [ctx.atomic.atomic_weight(g).value for g in paths]))
         sums = [(i, j) for i in range(len(base)) for j in range(i, len(base))]
-        games = base + [st.add(base[i], base[j]) for i, j in sums]
+        rng = random.Random(0)  # and sums of 3 to 5 mf path values
+        paths = [base.index(g) for g in paths]
+        sums += [tuple(rng.choices(paths, k=rng.randint(3, 5))) for _ in range(30)]
+        games = base + [functools.reduce(st.add, [base[i] for i in s]) for s in sums]
         memo = {}
 
         def leq(a, b):
@@ -309,7 +310,8 @@ class TestReferenceOrder:
         games = [ids[g] for g in base]
         order = list(range(len(sums)))
         rng.shuffle(order)  # sums built in a seeded order fill the memo and the parts
-        built = {k: st.add(games[sums[k][0]], games[sums[k][1]]) for k in order}
+        built = {k: functools.reduce(st.add, [games[i] for i in rng.sample(sums[k], len(sums[k]))])
+                 for k in order}
         games += [built[k] for k in range(len(sums))]
         pairs = [(i, j) for i in range(len(games)) for j in range(len(games))]
         rng.shuffle(pairs)
@@ -341,15 +343,62 @@ def summed_store(seed: int):
     return st, games + sums
 
 
+def mf_path_sums(seed: int):
+    """A store that summed 3 to 5 mf path values, each sum in a seeded order."""
+    ctx = make_context()
+    values = [ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES) for n in range(2, 11)]
+    rng = random.Random(seed)
+    for _ in range(60):
+        functools.reduce(ctx.store.add, rng.choices(values, k=rng.randint(3, 5)))
+    return ctx.store
+
+
+def check_decompositions(st):
+    """Each recorded pair x, y of a game g is a sum x + y == g of games born before g."""
+    assert st._parts
+    for g, parts in list(st._parts.items()):  # a snapshot: add may record more pairs
+        for x, y in list(parts.items()):
+            assert st.add(x, y) == g
+            assert parts[y] == x
+            assert st.birthday(x) < st.birthday(g) and st.birthday(y) < st.birthday(g)
+
+
 class TestCancellation:
     def test_decompositions_are_sums_born_earlier(self):
         st, _ = summed_store(61)
-        assert st._parts
-        for g, parts in st._parts.items():
-            for x, y in parts.items():
-                assert st.add(x, y) == g
-                assert parts[y] == x
-                assert st.birthday(x) < st.birthday(g) and st.birthday(y) < st.birthday(g)
+        check_decompositions(st)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_each_summand_of_a_sum_is_recorded_with_its_rest(self, seed):
+        st = mf_path_sums(seed)
+        check_decompositions(st)
+        # and every summand of a sum, with the sum of the rest when that was
+        # built first (earlier in _sums, which only grows), is recorded
+        built = {m: i for i, m in enumerate(st._sums)}
+        found = 0
+        for m, i in built.items():
+            g = st._sums[m]
+            for k, x in enumerate(m):
+                rest = m[:k] + m[k + 1:]
+                if len(m) > 2 and built.get(rest, i) < i:
+                    y = st._sums[rest]
+                    if st.birthday(x) < st.birthday(g) and st.birthday(y) < st.birthday(g):
+                        assert st._parts[g][x] == y
+                        found += 1
+        assert found > 100
+
+    def test_answers_found_by_cancellation_are_not_stored(self):
+        st, games = summed_store(63)
+        derived = 0
+        for _, a in games:
+            for _, b in games:
+                pa, pb = st._parts.get(a, {}), st._parts.get(b, {})
+                if a != b and b not in st._leq[a] and not pa.keys().isdisjoint(pb):
+                    st.leq(a, b)
+                    assert b not in st._leq[a]
+                    derived += 1
+        assert derived > 100
+        assert st._leq_count == sum(map(len, st._leq))
 
     def test_every_summed_pair_matches_raw(self):
         st, games = summed_store(65)
@@ -638,6 +687,16 @@ def test_memo_cap_counts_comparisons_across_rows():
         for b, value in list(row.items()):
             st._leq_put(row, b, value)  # a pair written again
     assert st._leq_count == sum(map(len, st._leq)) == cap
+
+
+def test_comparisons_found_by_cancellation_stay_out_of_the_memo():
+    # a count, not a time: mf paths 2..40 with atomic weights store 43,507
+    # comparisons when answers found through a shared summand are stored too
+    ctx = make_context(max_component=40)
+    for n in range(2, 41):
+        ctx.atomic.atomic_weight(ctx.engine.game_of(path(n), Variant.MUTUAL_FAILURES))
+    st = ctx.store
+    assert st._leq_count == sum(map(len, st._leq)) <= 25_000
 
 
 def test_birthday():
