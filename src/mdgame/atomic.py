@@ -7,9 +7,10 @@ is computed by the standard recursion
     AW(g) = { AW(gL) - 2 | AW(gR) + 2 }
 
 with the integer exception: when the bracket simplifies to an integer, the
-result is instead picked from the integers adjacent to the option weights
-according to how g compares with a remote star (a nim-heap *N larger than
-every nimber inside g).  Comparisons against the remote star use the
+result is picked by how g compares with a remote star (a nim-heap *N larger
+than every nimber inside g), which is asked first: Greater takes the bound
+of the right weights, Less that of the left ones, and Confused 0, and only
+the bound picked is found.  Comparisons against the remote star use the
 finite surrogate order N = 2 + the largest k such that *k is g or one of
 its subpositions, a fact the store records when it interns g, and are
 validated by recomputing at N+1; disagreement raises RemoteStarUnstable
@@ -120,41 +121,30 @@ class AtomicCalculator:
         n = st.integer_value(naive)
         if n is None:
             result = AtomicWeight(naive, False, None)
-        else:
-            x, y = self._integer_exception_bounds(lefts, rights, n)
+        else:  # the integer exception: the remote star picks one bound, or 0
             order = self.remote_star_order(g)
-            if order is Comparison.CONFUSED:
-                chosen = 0
-            elif order is Comparison.GREATER:
-                chosen = y
-            else:
-                chosen = x
+            chosen = (0 if order is Comparison.CONFUSED
+                      else self._bound(rights, n, 1) if order is Comparison.GREATER
+                      else self._bound(lefts, n, -1))
             result = AtomicWeight(st.number_game(chosen), True, chosen)
         return st._memo_put(self._aw, g, result)
 
-    def _integer_exception_bounds(
-        self, lefts: list[GameId], rights: list[GameId], base: int
-    ) -> tuple[int, int]:
-        """(x, y): least x exceeding-or-confused-with every left weight, and
-        greatest y undercutting-or-confused-with every right weight.  When
-        every weight is a number, x passes exactly when it exceeds every left
-        one and y when it is below every right one, so the bounds are found by
-        arithmetic; otherwise by _walk."""
+    def _bound(self, weights: list[GameId], base: int, outward: int) -> int:
+        """The left weights' bound (outward -1), the least x no weight is at
+        least, or the right weights' (outward 1), the greatest y no weight is
+        at most.  When all are numbers (there is one: g is all-small, not 0),
+        x must exceed them all and y be below them all; else _walk finds it."""
         st = self.store
-        numbers = [st.number_value(v) for v in lefts + rights]
-        if lefts and rights and all(x is not None for x in numbers):  # by identity, not ==
-            return (math.floor(max(numbers[:len(lefts)])) + 1,
-                    math.ceil(min(numbers[len(lefts):])) - 1)
+        numbers = [st.number_value(w) for w in weights]
+        if all(v is not None for v in numbers):  # by identity, not ==
+            return math.floor(max(numbers)) + 1 if outward < 0 else math.ceil(min(numbers)) - 1
+        fails = st.leq if outward < 0 else st._geq  # a left weight >= v, a right one <= v
 
-        def x_ok(x: int) -> bool:
-            xg = st.number_game(x)
-            return all(not st.leq(xg, v) for v in lefts)
+        def ok(v: int) -> bool:
+            vg = st.number_game(v)
+            return not any(fails(vg, w) for w in weights)
 
-        def y_ok(y: int) -> bool:
-            yg = st.number_game(y)
-            return all(not st.leq(w, yg) for w in rights)
-
-        return _walk(x_ok, base, -1), _walk(y_ok, base, 1)
+        return _walk(ok, base, outward)
 
 
 def _walk(ok: Callable[[int], bool], base: int, outward: int) -> int:

@@ -19,23 +19,25 @@ sharing a summand answers from the other two.  The birthday guard makes
 each step shrink the games compared, so the reduction ends: without it,
 ↑ = ↑* + * and ↑* = ↑ + * would send leq(↑*, ↑) to leq(↑, ↑*) and back.
 
-Sums are also memoized by their multiset of summands.  Each sum add()
-builds records the sorted concatenation of its two summands' multisets (a
-game with none counts as itself), so x + (y + z), (x + y) + z and
-(x + z) + y are built once: addition is commutative and associative on
-values, and canonical forms are unique.  A game keeps the first multiset
-found for it, and one that contains the sum itself (x + * + * = x) is never
-recorded, so multisets stay finite.
+Sums live in one table, ``_sums``, keyed by a sorted tuple of handles,
+which stands for their sum: the pair add() is asked for, or a multiset of
+summands.  Each sum add() builds is stored under the sorted concatenation
+of its two summands' multisets (a game with none counts as itself), so
+x + (y + z), (x + y) + z and (x + z) + y are built once: addition is
+commutative and associative on values, and canonical forms are unique.  A
+game keeps the first multiset found for it, and one that contains the sum
+itself (x + * + * = x) is never recorded, so multisets stay finite.
 
 The comparison memo, the largest table, is stored as one row per game:
 ``_leq[a]`` maps b to whether a <= b, so a lookup builds no key tuple and
-hashes one int.  The rows form a list parallel to ``_left`` and
-``_right``; ``_intern`` appends a game's empty row as it allocates the
-handle.  Under ``memo_cap`` the rows count as one table: their total
-number of entries is bounded.  When a <= b is not stored but b <= a is
-stored as true, leq answers false without storing it: distinct handles
-are distinct values.  Nor does it store an answer found by cancellation:
-asking again reads the younger comparison's entry in its place.
+hashes one int.  The rows form a list parallel to ``_left`` and ``_right``;
+``_intern`` appends a game's empty row as it allocates the handle.  Under
+``memo_cap`` the rows count as one table, their total number of entries
+bounded, and so do the rows of pairs add() records, ``_parts``.  When
+a <= b is not stored but b <= a is stored as true, leq answers false
+without storing it: distinct handles are distinct values.  Nor does it
+store an answer found by cancellation: asking again reads the younger
+comparison's entry in its place.
 
 Five facts of a game follow from its options' facts: its birthday,
 whether it is all-small, its nimber order, its number value, and the
@@ -180,11 +182,10 @@ class GameStore:
         self._nimber: list[Optional[int]] = []  # k when the game is *k
         self._number: list[Optional[Fraction]] = []
         self._largest_nimber: list[int] = []
-        self._leq_count = 0  # entries in all rows, see _leq_put
-        self._add: dict[tuple[GameId, GameId], GameId] = {}
+        self._leq_count = self._parts_count = 0  # entries in all rows of _leq, of _parts
         self._summands: dict[GameId, tuple[GameId, ...]] = {}
-        self._sums: dict[tuple[GameId, ...], GameId] = {}
-        self._parts: dict[GameId, dict[GameId, GameId]] = {}
+        self._sums: dict[tuple[GameId, ...], GameId] = {}  # a pair or a multiset -> its sum
+        self._parts: dict[GameId, dict[GameId, GameId]] = {}  # g -> {x: g - x}
         self._neg: dict[GameId, GameId] = {}
         self._number_games: dict[Fraction, GameId] = {}
         self._nimber_games: dict[int, GameId] = {}
@@ -391,7 +392,7 @@ class GameStore:
         if a == self.zero:
             return b
         key = (a, b)
-        hit = self._add.get(key)
+        hit = self._sums.get(key)
         if hit is not None:
             return hit
         summands = tuple(sorted(self._summands.get(a, (a,)) + self._summands.get(b, (b,))))
@@ -412,10 +413,14 @@ class GameStore:
         day = self.birthday(g)
         for x, y in pairs:  # both born before g: see the module docstring
             if y is not None and self.birthday(x) < day and self.birthday(y) < day:
-                parts = self._parts.get(g) or self._memo_put(self._parts, g, {})
-                parts[x] = y  # in place: leq iterates these dicts but never calls add
-                parts[y] = x
-        return self._memo_put(self._add, key, g)
+                parts = self._parts.setdefault(g, {})
+                if x not in parts:  # nor is y = g - x: pairs are written both ways
+                    count = self._parts_count + (1 if x == y else 2)
+                    if self.memo_cap is not None and count > self.memo_cap:
+                        raise MemoCapExceeded(f"memo table cap of {self.memo_cap} entries exceeded")
+                    self._parts_count = count  # the rows together are one table
+                    parts[x], parts[y] = y, x  # in place: leq reads these rows but never calls add
+        return self._memo_put(self._sums, key, g)
 
     def negate(self, g: GameId) -> GameId:
         """-g, built by options_first over Right's options, then Left's."""

@@ -276,6 +276,8 @@ def check_farstar_paths(ctx: EngineContext, max_n: int) -> CheckReport:
 def check_bias_props(ctx: EngineContext, max_vertices: int) -> CheckReport:
     """Exhaustive over connected graphs: classic Right-movable implies
     Left-movable, and forbidden-leaf Left-movable implies Right-movable."""
+    if max_vertices > _BYTE_LIMIT:  # else the enumeration would run for ages first
+        raise TooLarge(f"n<={max_vertices} is above the canonicalization limit {_BYTE_LIMIT}")
     def rows() -> Iterator[CheckRow]:
         reps = connected_graphs(max_vertices)
         # only whether a move exists matters, so no automorphisms are needed
@@ -355,6 +357,8 @@ class VerifyConfig:
         ends = [(family, hi) for _, family, _, hi in runs]
         for family, hi in [(FamilyKind.PATH, self.paths_to())] + ends:
             build(FamilySpec(family, hi))
+        if (n := self.bias_max_vertices) > _BYTE_LIMIT:  # as check_bias_props refuses it
+            raise TooLarge(f"n<={n} is above the canonicalization limit {_BYTE_LIMIT}")
 
     def winner_runs(self) -> list[tuple[Variant, FamilyKind, int, int]]:
         """(variant, family, lo, hi) for each winners report, in order."""

@@ -139,7 +139,28 @@ class TestIntegerExceptionBounds:
                              base, 1))
             with monkeypatch.context() as m:
                 m.setattr(atomic, "_walk", refuse)
-                assert ctx.atomic._integer_exception_bounds(lefts, rights, base) == expected
+                assert (ctx.atomic._bound(lefts, base, -1),
+                        ctx.atomic._bound(rights, base, 1)) == expected
+
+    def test_only_the_bound_the_remote_star_picks_is_found(self, big_ctx, monkeypatch):
+        # Greater takes the right weights' bound, Less the left's, and
+        # Confused neither: its weight is 0
+        calls = []
+        bound = AtomicCalculator._bound
+
+        def recorded(self, weights, base, outward):
+            calls.append(outward)
+            return bound(self, weights, base, outward)
+
+        monkeypatch.setattr(AtomicCalculator, "_bound", recorded)
+        st = big_ctx.store
+        fresh = AtomicCalculator(st)
+        assert fresh.atomic_weight(mf_value(big_ctx, 6)).integer == 1
+        assert calls and set(calls) == {1}  # mf path 6's exceptions are all Greater
+        calls.clear()
+        assert fresh.remote_star_order(st.star) is Comparison.CONFUSED
+        assert AtomicCalculator(st).atomic_weight(st.star) == AtomicWeight(st.zero, True, 0)
+        assert calls == []
 
 
 class TestTwoAhead:

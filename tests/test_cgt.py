@@ -651,6 +651,20 @@ def test_memo_cap_bounds_sums():
     assert sum(map(len, st._leq)) <= cap  # the comparison rows are one table
 
 
+def test_memo_cap_counts_sum_pairs_across_rows():
+    # each sum's recorded pairs are a row of _parts; the rows together are
+    # one table under the cap, as the comparison rows are
+    cap = 1000
+    st = GameStore(memo_cap=cap)
+    rng = random.Random(3)
+    with pytest.raises(MemoCapExceeded):
+        total = st.zero
+        for _ in range(1000):
+            total = st.add(total, raw.to_store(st, raw.random_raw(rng, 3)))
+    assert sum(map(len, st._parts.values())) <= cap  # 1,350 when rows were not counted
+    assert st._parts_count == sum(map(len, st._parts.values()))  # the count is exact
+
+
 def test_memo_cap_counts_comparisons_across_rows():
     cap = 40
 

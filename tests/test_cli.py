@@ -350,13 +350,16 @@ class TestExitCodes:
         (["--suite", "winners", "--variant", "classic", "--family", "cycle",
           "--from", "250", "--to", "300"],
          "cycle 300 has 300 vertices, above the canonicalization limit 255"),
+        (["--suite", "bias", "--max-vertices", "256"],
+         "n<=256 is above the canonicalization limit 255"),
     ])
     def test_range_above_255_vertices(self, args, problem, monkeypatch, capsys):
         # such a range could never finish, so it is refused before any work
-        def no_work(**kwargs):
+        def no_work(*args, **kwargs):
             raise AssertionError("computed before checking the range's largest graph")
 
         monkeypatch.setattr("mdgame.cli.make_context", no_work)
+        monkeypatch.setattr("mdgame.verify.connected_graphs", no_work)
         assert main(["verify"] + args) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,15 +1,16 @@
 """Graph primitives: construction, surgery, canonical forms, enumeration."""
 
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from mdgame import Graph, TooLarge, canonical_form, connected_graphs
+from mdgame import Graph, TooLarge, canonical_form, connected_graphs, make_context
 from mdgame.families import biclique, complete, cycle, path, star, wheel
 from mdgame.graphs import labeling
-from mdgame.rules import _CACHE_VERSION
+from mdgame.rules import _CACHE_VERSION, Variant
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +340,31 @@ class TestPinnedLabelings:
         # piece; a labeling that moves needs a new _CACHE_VERSION in rules.py
         assert labelings_digest() == (
             "a6645ee30be8051801426a8cd0880bac8d69b34a5f2829468fe928a24fa36b5d")
+
+
+class TestPinnedStore:
+    def test_handles_and_cache_bytes_are_unchanged(self, tmp_path):
+        # one context: wheels 3..6 under every variant, mf paths 2..16 and
+        # 200 seeded sums of 2-4 mf path values, each with its atomic weight.
+        # A change that moves a handle or a cache byte moves a digest.
+        ctx = make_context(max_component=20)
+        st, engine = ctx.store, ctx.engine
+        for n in range(3, 7):
+            for variant in Variant:
+                engine.game_of(wheel(n), variant)
+        mf = {n: engine.game_of(path(n), Variant.MUTUAL_FAILURES) for n in range(2, 17)}
+        for g in mf.values():
+            ctx.atomic.atomic_weight(g)
+        rng = random.Random(29)
+        for _ in range(200):
+            terms = [mf[rng.randint(2, 12)] for _ in range(rng.randint(2, 4))]
+            ctx.atomic.atomic_weight(functools.reduce(st.add, terms))
+        assert len(st) == 572
+        engine.save_cache(str(tmp_path / "values.bin"))
+        handles = hashlib.sha256(repr((st._left, st._right)).encode()).hexdigest()
+        cache = hashlib.sha256((tmp_path / "values.bin").read_bytes()).hexdigest()
+        assert handles == "a4e4c28082528322403bf61cc8651ab53cf4dbafa91c55bc0699cbd018e27978"
+        assert cache == "b653d24d7033c38b6c5d080c2743a1a14cc85c94950041bb8e45476f97f80b09"
 
 
 class TestEnumeration:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mdgame import Outcome, TooLarge, make_context
+from mdgame import Outcome, TooLarge, make_context, verify
 from mdgame.families import FamilyKind
 from mdgame.rules import Variant
 from mdgame.verify import (
@@ -157,6 +157,21 @@ class TestBias:
         assert report.passed
         assert len(report.rows) == 6
         assert report.rows[-1].instance == "n=6 (112 graphs)"
+
+    def test_above_255_vertices_refused_before_any_work(self, monkeypatch):
+        # enumerating connected graphs that far would run for ages before
+        # the labeling refused the first graph of 256 vertices
+        def refuse(max_vertices):
+            raise AssertionError("graphs enumerated before the size check")
+
+        monkeypatch.setattr(verify, "connected_graphs", refuse)
+        with pytest.raises(TooLarge, match="n<=256 is above the canonicalization limit 255"):
+            check_bias_props(make_context(), 256)
+
+    def test_config_above_255_vertices(self):
+        with pytest.raises(TooLarge, match="n<=300 is above the canonicalization limit 255"):
+            VerifyConfig(suites=("bias",), bias_max_vertices=300)
+        VerifyConfig(suites=("bias",), bias_max_vertices=255)  # the largest accepted
 
 
 class TestReports:
