@@ -80,18 +80,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def _component_mask(self, seed: int) -> int:
-        seen = 1 << seed
-        frontier = seen
-        adj = self.adj
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen
-
     # ------------------------------------------------------------------
     # mutation (returns new graphs)
     # ------------------------------------------------------------------
@@ -114,11 +102,12 @@ class Graph:
     def induced(self, vertices: list[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in the order given."""
         pos = {u: i for i, u in enumerate(vertices)}
+        low = min(vertices, default=0)  # rows shifted down to it cost the span kept, not n
         rows = []
         for u in vertices:
             row = 0
-            for w in bits(self.adj[u]):
-                i = pos.get(w)
+            for w in bits(self.adj[u] >> low):
+                i = pos.get(w + low)
                 if i is not None:
                     row |= 1 << i
             rows.append(row)
@@ -126,19 +115,27 @@ class Graph:
 
     def components(self) -> list["Graph"]:
         """Connected components as separate graphs, by least vertex, vertices
-        in original order.  A lone vertex costs no bitmask operation."""
-        out = []
+        in original order.  A lone vertex costs no bitmask operation, and a
+        component's masks are shifted down to its least vertex, so they are
+        as wide as its span of labels, not as the graph."""
+        out, seen, adj = [], set(), self.adj
         full = (1 << self.n) - 1
-        done = 0  # vertices of the components with edges found so far
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if not row:
                 out.append(self if self.n == 1 else _LONE)
-            elif not done >> v & 1:
-                mask = self._component_mask(v)
-                if mask == full:
+            elif v not in seen:  # so v is the least vertex of its component
+                mask = frontier = 1
+                while frontier:
+                    nxt = 0
+                    for u in bits(frontier):
+                        nxt |= adj[u + v] >> v
+                    frontier = nxt & ~mask
+                    mask |= nxt
+                if mask == full:  # only if v == 0: a shifted mask is narrower
                     return [self]
-                out.append(self.induced(list(bits(mask))))
-                done |= mask
+                part = [u + v for u in bits(mask)]
+                seen.update(part)
+                out.append(self.induced(part))
         return out
 
     def disjoint_union(self, other: "Graph") -> "Graph":

@@ -16,6 +16,7 @@ import mdgame
 from mdgame import AtomicCalculator, Comparison, GameStore, MemoCapExceeded, Outcome
 from mdgame.cgt import options_first
 from mdgame.families import path, wheel
+from mdgame.graphs import connected_graphs
 from mdgame.rules import Variant, make_context
 
 
@@ -713,6 +714,18 @@ def test_comparisons_found_by_cancellation_stay_out_of_the_memo():
     assert st._leq_count == sum(map(len, st._leq)) <= 25_000
 
 
+@pytest.mark.parametrize("variant, most",
+                         [(Variant.CLASSIC, 15_000), (Variant.FORBIDDEN_LEAF, 10_000)])
+def test_comparisons_refuted_by_stops_stay_out_of_the_memo(variant, most):
+    # a count, not a time: wheels 3..8 in one context store 22,652 (classic)
+    # and 14,265 (fl) comparisons when hot pairs the stops refute are searched
+    ctx = make_context()
+    for n in range(3, 9):
+        ctx.engine.game_of(wheel(n), variant)
+    st = ctx.store
+    assert st._leq_count == sum(map(len, st._leq)) <= most
+
+
 def test_birthday():
     st = GameStore()
     assert st.birthday(st.zero) == 0
@@ -907,3 +920,101 @@ class TestStructuralFacts:
         assert st.render(g) == "5000"
         neg = st.negate(g)
         assert st.number_value(neg) == -5000 and st.render(neg) == "-5000"
+
+
+# ----------------------------------------------------------------------
+# stops, against their recursive definition
+# ----------------------------------------------------------------------
+
+def reference_stops(st):
+    """Left and Right stops as Fractions, by recursion over options: a
+    number is its own stops, else L(G) = max R(Gᴸ) and R(G) = min L(Gᴿ)."""
+    number = recursive_facts(st)[3]
+
+    @functools.cache
+    def stops(g):
+        x = number(g)
+        if x is not None:
+            return x, x
+        return (max(stops(o)[1] for o in st.left_options(g)),
+                min(stops(o)[0] for o in st.right_options(g)))
+
+    return stops
+
+
+def stop_facts(st, g):
+    return st._left_stop[g], st._right_stop[g]
+
+
+class TestStops:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        ctx = make_context()
+        st = ctx.store
+        games = [st.number_game(x) for x in NUMBERS] + [st.nimber_game(k) for k in range(9)]
+        games += [st.up, st.up_star]
+        reps = connected_graphs(6)
+        values = [ctx.engine.game_of(g, v) for v in Variant for n in sorted(reps) for g in reps[n]]
+        rng = random.Random(5)
+        sums = [functools.reduce(st.add, rng.sample(values, rng.randint(2, 3))) for _ in range(60)]
+        return st, games + values + sums
+
+    def test_facts_match_the_recursion(self, pool):
+        st, _ = pool
+        stops = reference_stops(st)
+        hot = 0
+        for g in range(len(st)):  # every game the pool built, subpositions too
+            assert stop_facts(st, g) == stops(g), g
+            hot += stops(g)[0] > stops(g)[1]
+        assert hot > 100
+
+    def test_a_number_shifts_both_stops(self, pool):
+        st, games = pool
+        for g in games[::7]:
+            for x in (Fraction(-3, 2), Fraction(1, 4), Fraction(2)):
+                shifted = st.add(g, st.number_game(x))
+                assert stop_facts(st, shifted) == tuple(s + x for s in stop_facts(st, g))
+
+    def test_inexact_floats_leave_no_stop(self):
+        # the integer 2**60 + 1 would be a chain 2**60 deep: 1 + 2**-60 is 61 deep
+        st = GameStore()
+        wide = st.number_game(Fraction(2 ** 60 + 1, 2 ** 60))  # a 61-bit numerator
+        tiny = st.number_game(Fraction(1, 2 ** 1100))  # below the floats' normal range
+        assert stop_facts(st, wide) == stop_facts(st, tiny) == (None, None)
+        assert stop_facts(st, st.number_game(Fraction(1, 2 ** 1000))) == (2.0 ** -1000,) * 2
+        x, y = Fraction(2 ** 53 - 1, 2 ** 55), Fraction(2 ** 54 - 1, 2 ** 56)
+        assert stop_facts(st, st.number_game(x)) == (x, x)  # 53 bits: exact
+        assert stop_facts(st, st.number_game(y)) == (None, None)  # 54 bits would round
+        hot = st.make_game([wide], [st.zero])
+        assert stop_facts(st, hot) == (None, 0.0)
+        assert stop_facts(st, st.make_game([st.number_game(2)], [hot])) == (2.0, None)
+        games = [wide, st.number_game(y), hot, st.negate(hot), st.zero, st.number_game(1),
+                 st.number_game(2), st.make_game([st.number_game(2)], [hot]),
+                 st.make_game([wide], [st.number_game(x)])]
+        memo = {}
+
+        def leq(a, b):  # the defining recursion, as TestReferenceOrder's
+            if (a, b) not in memo:
+                memo[a, b] = (not any(leq(b, al) for al in st.left_options(a))
+                              and not any(leq(br, a) for br in st.right_options(b)))
+            return memo[a, b]
+
+        for a in games:
+            for b in games:
+                assert st.leq(a, b) == leq(a, b)
+
+    def test_refuted_pairs_stay_out_of_the_memo(self, pool):
+        st, games = pool
+        refuted = 0
+        for a in games[::3]:
+            for b in games[::5]:
+                (la, ra), (lb, rb) = stop_facts(st, a), stop_facts(st, b)
+                if (a != b and b not in st._leq[a] and a not in st._leq[b]
+                        and not (st.is_all_small(a) and st.is_all_small(b))
+                        and not st._parts.get(a)
+                        and (la > lb or ra > rb)):
+                    assert not st.leq(a, b)
+                    assert b not in st._leq[a]
+                    refuted += 1
+        assert refuted > 100
+        assert st._leq_count == sum(map(len, st._leq))

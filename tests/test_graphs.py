@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,49 @@ class TestSurgery:
         comps = Graph.from_edges(6, [(0, 5), (3, 5), (1, 4)]).components()
         assert [c.n for c in comps] == [3, 2, 1]
         assert [c.edges() for c in comps] == [[(0, 2), (1, 2)], [(0, 1)], []]
+
+    @staticmethod
+    def reference_components(g):
+        """Components by breadth-first search over edge lists, each rebuilt
+        from its edges with its vertices renumbered in increasing order."""
+        near = {v: [] for v in range(g.n)}
+        for u, v in g.edges():
+            near[u].append(v)
+            near[v].append(u)
+        seen, out = set(), []
+        for v in range(g.n):
+            if v not in seen:
+                seen.add(v)
+                part = [v]
+                for u in part:  # part grows as the search finds vertices
+                    for w in near[u]:
+                        if w not in seen:
+                            seen.add(w)
+                            part.append(w)
+                pos = {u: i for i, u in enumerate(sorted(part))}
+                out.append(Graph.from_edges(len(part), [(pos[u], pos[w]) for u in part
+                                                        for w in near[u] if u < w]))
+        return out
+
+    def test_components_match_a_reference_search_on_seeded_unions(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = Graph.empty(0)
+            for _ in range(rng.randint(1, 5)):
+                g = g.disjoint_union(random_graph(rng.randint(1, 7), rng))
+            perm = list(range(g.n))
+            rng.shuffle(perm)  # the components interleave in the labels
+            g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert g.components() == self.reference_components(g)
+
+    def test_many_components_split_in_linear_time(self):
+        # with masks as wide as the graph, 40,000 disjoint edges took 1.4 s
+        # to split on a 2-vCPU VM; shifted masks take about 0.2 s
+        g = Graph.from_edges(80_000, [(2 * i, 2 * i + 1) for i in range(40_000)])
+        start = time.process_time()
+        comps = g.components()
+        assert time.process_time() - start < 0.5
+        assert len(comps) == 40_000 and set(comps) == {path(2)}
 
     def test_delete_vertex_matches_induced(self):
         rng = random.Random(3)

@@ -400,6 +400,23 @@ class TestValueIdentities:
             seen.add(k)
         assert sum(map(len, reps.values())) == 996 and seen == set(range(11))
 
+    def test_fl_values_lie_below_classic_values(self):
+        # fl takes Left's leaf deletions away and keeps Right's moves, so by
+        # induction each fl value is at most the classic one, and so are its stops
+        ctx = make_context()
+        st, engine = ctx.store, ctx.engine
+        graphs = [g for gs in connected_graphs(7).values() for g in gs]
+        assert len(graphs) == 996
+        strict = 0
+        for g in graphs:
+            fl = engine.game_of(g, Variant.FORBIDDEN_LEAF)
+            classic = engine.game_of(g, Variant.CLASSIC)
+            assert st.leq(fl, classic)
+            assert st._left_stop[fl] <= st._left_stop[classic]
+            assert st._right_stop[fl] <= st._right_stop[classic]
+            strict += fl != classic
+        assert strict > 900
+
 
 class TestRelabelingInvariance:
     def test_values_survive_random_relabeling(self):
